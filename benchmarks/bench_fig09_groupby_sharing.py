@@ -25,7 +25,7 @@ def _direction_sharing(graph, groups):
     group hits its shared hub (level 2), which would otherwise move the
     entire hub-collision effect into the bottom-up series.
     """
-    from repro.bfs.direction import DirectionPolicy
+    from repro.plan import DirectionPolicy
 
     full = JointTraversal(graph)
     td_only = JointTraversal(

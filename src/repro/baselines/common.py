@@ -2,61 +2,45 @@
 
 Under the planner, the baselines differ mostly in *policy* — which
 per-level decisions they are allowed to make — plus a device preset and
-one or two engine-level switches.  What used to be four forked
-traversal loops is now one helper: partition sources into random
-groups, run each group through a traversal engine, and aggregate the
-per-group stats into a :class:`~repro.core.result.ConcurrentResult`.
+one or two engine-level switches.  What is left to share is the run
+loop: partition sources into random groups, run each group through a
+traversal engine, and aggregate the groups with
+:meth:`~repro.core.result.ConcurrentResult.from_groups`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.core.groupby import random_groups
-from repro.core.result import ConcurrentResult, GroupStats
-from repro.gpusim.counters import ProfilerCounters
+from repro.core.result import ConcurrentResult
 
 
-def run_random_groups(
-    engine,
-    engine_name: str,
-    num_vertices: int,
-    sources: Sequence[int],
-    group_size: int,
-    seed: int,
-    max_depth: Optional[int] = None,
-    store_depths: bool = True,
-) -> ConcurrentResult:
-    """Run ``sources`` through ``engine.run_group`` in random groups.
+class RandomGroupsBaseline:
+    """A baseline that runs random groups through one group engine.
 
-    ``engine`` is any group traversal engine returning
-    ``(depths, record, stats)`` (the :class:`BitwiseTraversal` /
-    :class:`JointTraversal` contract).  Groups execute serially;
-    simulated seconds add up.
+    Subclasses set ``name``, ``graph``, ``group_size``, ``seed`` and
+    ``_engine`` — any group traversal engine returning ``(depths,
+    record, stats)`` (the :class:`~repro.core.traversal.GroupTraversal`
+    contract).  Groups execute serially; simulated seconds add up.
     """
-    sources = [int(s) for s in sources]
-    groups = random_groups(sources, group_size, seed)
-    counters = ProfilerCounters()
-    group_stats: List[GroupStats] = []
-    depth_rows = {} if store_depths else None
-    for group in groups:
-        depths, record, stats = engine.run_group(group, max_depth=max_depth)
-        counters.merge(record.counters)
-        group_stats.append(stats)
-        if depth_rows is not None:
-            for row, source in enumerate(group):
-                depth_rows[source] = depths[row]
-    matrix = None
-    if depth_rows is not None:
-        matrix = np.stack([depth_rows[s] for s in sources])
-    return ConcurrentResult(
-        engine=engine_name,
-        sources=sources,
-        seconds=sum(g.seconds for g in group_stats),
-        counters=counters,
-        depths=matrix,
-        num_vertices=num_vertices,
-        groups=group_stats,
-    )
+
+    def run(
+        self,
+        sources: Sequence[int],
+        max_depth: Optional[int] = None,
+        store_depths: bool = True,
+    ) -> ConcurrentResult:
+        """Traverse from all sources in randomly formed groups."""
+        sources = [int(s) for s in sources]
+        runs = (
+            self._engine.run_group(group, max_depth=max_depth)
+            for group in random_groups(sources, self.group_size, self.seed)
+        )
+        return ConcurrentResult.from_groups(
+            self.name,
+            sources,
+            self.graph.num_vertices,
+            ((depths, record.counters, stats) for depths, record, stats in runs),
+            store_depths=store_depths,
+        )

@@ -19,11 +19,10 @@ shared random-groups loop.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.baselines.common import run_random_groups
+from repro.baselines.common import RandomGroupsBaseline
 from repro.core.bitwise import BitwiseTraversal
-from repro.core.result import ConcurrentResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.config import XEON_CPU
 from repro.gpusim.device import Device
@@ -31,7 +30,7 @@ from repro.plan.policy import DirectionPolicy, HeuristicPolicy
 from repro.plan.presets import msbfs_policy
 
 
-class MSBFS:
+class MSBFS(RandomGroupsBaseline):
     """Multi-source BFS with per-level status reset on a CPU."""
 
     name = "ms-bfs"
@@ -62,22 +61,4 @@ class MSBFS:
             reset_per_level=True,
             thread_per_instance=True,
             planner=planner,
-        )
-
-    def run(
-        self,
-        sources: Sequence[int],
-        max_depth: Optional[int] = None,
-        store_depths: bool = True,
-    ) -> ConcurrentResult:
-        """Traverse from all sources in randomly formed groups."""
-        return run_random_groups(
-            self._engine,
-            self.name,
-            self.graph.num_vertices,
-            sources,
-            self.group_size,
-            self.seed,
-            max_depth=max_depth,
-            store_depths=store_depths,
         )

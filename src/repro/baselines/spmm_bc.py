@@ -12,17 +12,16 @@ at the dense middle levels where iBFS switches to bottom-up.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.baselines.common import run_random_groups
+from repro.baselines.common import RandomGroupsBaseline
 from repro.core.bitwise import BitwiseTraversal
-from repro.core.result import ConcurrentResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.plan.presets import spmm_bc_policy
 
 
-class SpMMBC:
+class SpMMBC(RandomGroupsBaseline):
     """Concurrent top-down-only bitwise BFS with random groups."""
 
     name = "spmm-bc"
@@ -40,22 +39,4 @@ class SpMMBC:
         self.seed = seed
         self._engine = BitwiseTraversal(
             graph, self.device, planner=spmm_bc_policy()
-        )
-
-    def run(
-        self,
-        sources: Sequence[int],
-        max_depth: Optional[int] = None,
-        store_depths: bool = True,
-    ) -> ConcurrentResult:
-        """Traverse from all sources in randomly formed groups."""
-        return run_random_groups(
-            self._engine,
-            self.name,
-            self.graph.num_vertices,
-            sources,
-            self.group_size,
-            self.seed,
-            max_depth=max_depth,
-            store_depths=store_depths,
         )

@@ -8,8 +8,8 @@ measures first — running all instances *sequentially* and running them
 """
 
 from repro.bfs.reference import reference_bfs, reference_bfs_multi
-# Canonical home of the direction machinery is repro.plan; importing
-# from there keeps the repro.bfs.direction deprecation shim quiet.
+# The direction machinery lives in repro.plan; re-exported here for the
+# single-instance engines' callers.
 from repro.plan.policy import DirectionPolicy
 from repro.plan.types import Direction
 from repro.bfs.single import SingleBFS, SingleResult

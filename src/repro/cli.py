@@ -480,8 +480,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 server, _workload_config(args), _churn_config(args)
             )
             exec_stats = (
-                server.executor.last_stats
-                if server.executor is not None else None
+                server.substrate.executor.last_stats
+                if server.substrate.executor is not None else None
             )
         finally:
             server.close()
@@ -514,8 +514,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         result = run_closed_loop(server, _workload_config(args))
         exec_stats = (
-            server.executor.last_stats
-            if server.executor is not None else None
+            server.substrate.executor.last_stats
+            if server.substrate.executor is not None else None
         )
     finally:
         if server is not None:

@@ -19,9 +19,10 @@ engine with the paper's described differences.
 
 Per-level choices — direction per instance, bottom-up kernel variant,
 vector load width, workspace snapshot strategy, early termination —
-come from the planner (:mod:`repro.plan`): each executed level consumes
-exactly one :class:`~repro.plan.types.LevelDecision` from the policy's
-session, and the sequence is recorded as a
+come from the planner (:mod:`repro.plan`) through the shared level
+loop of :class:`~repro.core.traversal.GroupTraversal`: each executed
+level consumes exactly one :class:`~repro.plan.types.LevelDecision`
+from the policy's session, and the sequence is recorded as a
 :class:`~repro.plan.types.RunPlan` on the returned
 :class:`~repro.core.result.GroupStats`.  Passing ``plan=`` to
 :meth:`run_group` replays a recorded plan bit-identically, skipping the
@@ -38,19 +39,17 @@ bit-identical to the frozen reference implementation
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 import repro.native as native
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE
-from repro.gpusim.counters import LevelRecord, RunRecord
+from repro.gpusim.counters import LevelRecord
 from repro.gpusim.device import Device
-from repro.obs import profile as obs_profile
-from repro.core.result import GroupStats
-from repro.core.sharing import SharingObserver
 from repro.core.status_array import combine_masks, instance_masks, lanes_for
+from repro.core.traversal import GroupRun, GroupTraversal
 from repro.kernels import (
     FullSnapshotWorkspace,
     LevelWorkspace,
@@ -62,13 +61,8 @@ from repro.kernels import (
     scatter_plan,
     unpack_lane_bits,
 )
-from repro.plan.policy import (
-    DirectionPolicy,
-    HeuristicPolicy,
-    Policy,
-    RecordedPolicy,
-)
-from repro.plan.types import Direction, LevelDecision, LevelStats, RunPlan
+from repro.plan.policy import DirectionPolicy, HeuristicPolicy, Policy
+from repro.plan.types import LevelDecision
 from repro.util import gather_neighbors
 
 INSTRUCTIONS_PER_INSPECTION = 6
@@ -98,7 +92,7 @@ def _materialize_depths(depths_vm: np.ndarray) -> np.ndarray:
     return depths
 
 
-class BitwiseTraversal:
+class BitwiseTraversal(GroupTraversal):
     """Bitwise (BSA-based) joint traversal of one group.
 
     Parameters
@@ -166,26 +160,20 @@ class BitwiseTraversal:
                 f"direction_mode must be 'per-instance' or 'per-group'; "
                 f"got {direction_mode!r}"
             )
-        self.graph = graph
-        self.device = device or Device()
-        self.policy = policy or DirectionPolicy()
+        policy = policy or DirectionPolicy()
+        if planner is None:
+            planner = HeuristicPolicy.from_direction_policy(
+                policy,
+                direction_mode=direction_mode,
+                early_termination=early_termination,
+                vector_width=vector_width,
+            )
+        super().__init__(graph, device, policy, planner)
         self.early_termination = early_termination
         self.reset_per_level = reset_per_level
         self.thread_per_instance = thread_per_instance
         self.vector_width = vector_width
         self.direction_mode = direction_mode
-        if planner is None:
-            planner = HeuristicPolicy.from_direction_policy(
-                self.policy,
-                direction_mode=direction_mode,
-                early_termination=early_termination,
-                vector_width=vector_width,
-            )
-        self.planner = planner
-        self._reverse = graph.reverse() if planner.allow_bottom_up else None
-        #: Out-degree view, hoisted once per traversal object (the hot
-        #: loops used to look it up several times per level).
-        self._out_degrees = graph.out_degrees()
         self._workspace: Optional[LevelWorkspace] = None
         self._workspace_full: Optional[FullSnapshotWorkspace] = None
 
@@ -204,38 +192,10 @@ class BitwiseTraversal:
         return ws
 
     # ------------------------------------------------------------------
-    def run_group(
-        self,
-        sources: Sequence[int],
-        max_depth: Optional[int] = None,
-        plan: Optional[RunPlan] = None,
-    ):
-        """Traverse all sources jointly with the bitwise status array.
-
-        Returns ``(depths, record, stats)`` like
-        :meth:`JointTraversal.run_group`.  With ``plan=`` the recorded
-        decisions replay verbatim and no heuristic runs.
-        """
-        sources = [int(s) for s in sources]
+    def _begin(self, run: GroupRun) -> None:
+        sources = run.sources
         n = self.graph.num_vertices
         group_size = len(sources)
-        if group_size == 0:
-            raise TraversalError("group must contain at least one source")
-        for s in sources:
-            if not 0 <= s < n:
-                raise TraversalError(f"source {s} out of range [0, {n})")
-
-        if plan is not None:
-            planner: Policy = RecordedPolicy(plan)
-        else:
-            planner = self.planner
-        total_edges = self.graph.num_edges
-        session = planner.session(group_size, n, total_edges)
-        wants_stats = session.wants_stats
-        run_plan = RunPlan(
-            policy=planner.name, engine=self.name, group_size=group_size
-        )
-
         lanes = lanes_for(group_size)
         masks = instance_masks(group_size)
         bsa = np.zeros((n, lanes), dtype=np.uint64)
@@ -245,26 +205,23 @@ class BitwiseTraversal:
         # (group_size, n) result layout.  The narrowest dtype that can
         # hold the depths seen so far keeps the update traffic small
         # (int8 covers diameter < 126 — almost every real input); the
-        # loop widens it well before overflow.
+        # level step widens it well before overflow.
         depths_vm = np.full((n, group_size), UNVISITED, dtype=np.int8)
         for j, s in enumerate(sources):
             bsa[s] |= masks[j]
             depths_vm[s, j] = 0
-
-        active = np.ones(group_size, dtype=bool)
-        out_degrees = self._out_degrees
+        run.bsa = bsa
+        run.masks = masks
+        run.depths_vm = depths_vm
         # Running per-instance visited-degree sum: every vertex joins the
         # frontier exactly once, so accumulating new-frontier degrees is
         # the dense "sum over depth >= 0" recomputed each level.
-        visited_deg = out_degrees[np.asarray(sources, dtype=np.int64)].astype(
-            np.int64
-        )
+        run.visited_deg = self._out_degrees[
+            np.asarray(sources, dtype=np.int64)
+        ].astype(np.int64)
         # Current-frontier degree sum per instance (depth == level); at
         # level 0 the frontier is exactly the source.
-        frontier_deg = visited_deg.copy()
-        # Cumulative visited-vertex count per instance (the adaptive
-        # cost model's unvisited estimate); the source is visited.
-        visited_count = np.ones(group_size, dtype=np.int64)
+        run.frontier_deg = run.visited_deg.copy()
         # Current frontier as (rows, diff-words): row i of the frontier
         # gained exactly the instance bits set in diff[i] last level, so
         # depth[j, v] == level iff bit j of the row's word is set.  Each
@@ -275,154 +232,38 @@ class BitwiseTraversal:
         )
         init_diff = np.zeros((uniq_src.size, lanes), dtype=np.uint64)
         np.bitwise_or.at(init_diff, src_inv, masks)
-        frontier = (uniq_src, init_diff)
-        frontier_counts = np.ones(group_size, dtype=np.int64)
+        run.frontier = (uniq_src, init_diff)
+        run.frontier_counts = np.ones(group_size, dtype=np.int64)
 
-        record = RunRecord()
-        observer = SharingObserver(group_size)
-        sharing_log = {"td": [], "bu": []}
-        bu_inspections = np.zeros(group_size, dtype=np.int64)
-
-        decision: Optional[LevelDecision] = None
-        stats_prev: Optional[LevelStats] = None
-        level = 0
-        while active.any():
-            if max_depth is not None and level >= max_depth:
-                break
-            if level > n + 1:
-                raise TraversalError("traversal failed to converge")
-            if level >= 120 and depths_vm.dtype == np.int8:
-                depths_vm = depths_vm.astype(np.int16)
-            elif level >= 32000 and depths_vm.dtype == np.int16:
-                depths_vm = depths_vm.astype(np.int32)
-            # One decision per executed level: the first comes from
-            # initial(), each next from the previous level's observed
-            # statistics (None under replay — nothing is recomputed).
-            if decision is None:
-                decision = session.initial()
-            else:
-                decision = session.next(stats_prev)
-            if decision.num_instances != group_size:
-                raise TraversalError(
-                    f"planner decided {decision.num_instances} instances "
-                    f"for a group of {group_size}"
-                )
-            run_plan.append(decision)
-            directions = decision.directions
-            td_instances = [
-                j for j in range(group_size)
-                if active[j] and directions[j] is Direction.TOP_DOWN
-            ]
-            bu_instances = [
-                j for j in range(group_size)
-                if active[j] and directions[j] is Direction.BOTTOM_UP
-            ]
-            if bu_instances and self._reverse is None:
-                # A replayed or adaptive plan may go bottom-up even when
-                # the construction-time policy never would have.
-                self._reverse = self.graph.reverse()
-            workspace = self._get_workspace(n, lanes, decision.snapshot)
-            # Per-level wall-clock profile span; a no-op flag test when
-            # profiling is off (the <= 5% overhead budget boundary).
-            with obs_profile.span(
-                "level",
-                depth=level,
-                td_instances=len(td_instances),
-                bu_instances=len(bu_instances),
-                kernel=decision.kernel,
-                vector_width=decision.vector_width,
-                snapshot=decision.snapshot,
-                early_termination=decision.early_termination,
-                policy=planner.name,
-                replay=not wants_stats,
-            ):
-                progressed, counts, frontier_edges, frontier = self._level(
-                    bsa,
-                    depths_vm,
-                    masks,
-                    workspace,
-                    td_instances,
-                    bu_instances,
-                    level,
-                    record,
-                    observer,
-                    sharing_log,
-                    bu_inspections,
-                    frontier_deg,
-                    frontier,
-                    frontier_counts,
-                    decision,
-                )
-            frontier_counts = counts
-            visited_deg += frontier_edges
-            unexplored = total_edges - visited_deg
-            frontier_deg = frontier_edges
-            visited_count += counts
-            for j in range(group_size):
-                if not active[j]:
-                    continue
-                if directions[j] is Direction.TOP_DOWN:
-                    if counts[j] == 0:
-                        active[j] = False
-                else:
-                    if not progressed[j]:
-                        active[j] = False
-            if wants_stats:
-                stats_prev = LevelStats(
-                    level=level,
-                    num_vertices=n,
-                    total_edges=total_edges,
-                    frontier_vertices=tuple(int(c) for c in counts),
-                    frontier_edges=tuple(int(e) for e in frontier_edges),
-                    unexplored_edges=tuple(int(u) for u in unexplored),
-                    visited_vertices=tuple(int(v) for v in visited_count),
-                    active=tuple(bool(a) for a in active),
-                )
-            level += 1
-
-        record.counters.kernel_launches += 1
-        depths = _materialize_depths(depths_vm)
-        seconds = self.device.cost.kernel_time(record.levels)
-        stats = GroupStats(
-            sources=sources,
-            seconds=seconds,
-            sharing_degree=observer.degree(),
-            sharing_ratio=observer.ratio(),
-            jfq_sizes=list(observer.jfq_sizes),
-            per_level_sharing=observer.per_level_degree(),
-            td_sharing=sharing_log["td"],
-            bu_sharing=sharing_log["bu"],
-            bottom_up_inspections=bu_inspections.tolist(),
-            plan=run_plan,
-        )
-        return depths, record, stats
+    def _depths(self, run: GroupRun) -> np.ndarray:
+        return _materialize_depths(run.depths_vm)
 
     # ------------------------------------------------------------------
     # One synchronized level
     # ------------------------------------------------------------------
     def _level(
         self,
-        bsa: np.ndarray,
-        depths_vm: np.ndarray,
-        masks: np.ndarray,
-        workspace,
+        run: GroupRun,
         td_instances: List[int],
         bu_instances: List[int],
         level: int,
-        record: RunRecord,
-        observer: SharingObserver,
-        sharing_log: dict,
-        bu_inspections: np.ndarray,
-        frontier_deg: np.ndarray,
-        frontier,
-        frontier_counts: np.ndarray,
         decision: LevelDecision,
     ):
+        if level >= 120 and run.depths_vm.dtype == np.int8:
+            run.depths_vm = run.depths_vm.astype(np.int16)
+        elif level >= 32000 and run.depths_vm.dtype == np.int16:
+            run.depths_vm = run.depths_vm.astype(np.int32)
         mem = self.device.memory
+        bsa = run.bsa
+        depths_vm = run.depths_vm
+        masks = run.masks
+        record = run.record
+        bu_inspections = run.bu_inspections
         counters = record.counters
         group_size = masks.shape[0]
         num_vertices = depths_vm.shape[0]
         lanes = bsa.shape[1]
+        workspace = self._get_workspace(num_vertices, lanes, decision.snapshot)
         word_bytes = lanes * 8
         progressed = np.zeros(group_size, dtype=bool)
         counts = np.zeros(group_size, dtype=np.int64)
@@ -435,11 +276,11 @@ class BitwiseTraversal:
         # frontier reads unset bits straight off the BSA words (depth is
         # UNVISITED iff the bit is unset — bits are monotone and
         # extraction mirrors them exactly).
-        changed_prev, diff_prev = frontier
+        changed_prev, diff_prev = run.frontier
         td_mask = np.zeros(num_vertices, dtype=bool)
         fq_td = 0
         if td_instances:
-            fq_td = int(frontier_counts[td_instances].sum())
+            fq_td = int(run.frontier_counts[td_instances].sum())
             if changed_prev.size:
                 td_sel = combine_masks(masks, td_instances)
                 hit = (diff_prev[:, 0] & td_sel[0]) != 0
@@ -456,19 +297,19 @@ class BitwiseTraversal:
             bu_mask_vertices = np.zeros(num_vertices, dtype=bool)
             fq_bu = 0
         jfq_size = int(np.count_nonzero(td_mask | bu_mask_vertices))
-        observer.record_level(fq_td + fq_bu, jfq_size)
-        sharing_log["td"].append((fq_td, int(np.count_nonzero(td_mask))))
-        sharing_log["bu"].append(
+        run.observer.record_level(fq_td + fq_bu, jfq_size)
+        run.sharing_log["td"].append((fq_td, int(np.count_nonzero(td_mask))))
+        run.sharing_log["bu"].append(
             (fq_bu, int(np.count_nonzero(bu_mask_vertices)))
         )
         if jfq_size == 0:
             record.append(LevelRecord(depth=level, direction="td"))
             counters.levels += 1
-            empty_frontier = (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, lanes), dtype=np.uint64),
+            changed = np.empty(0, dtype=np.int64)
+            diff = np.empty((0, lanes), dtype=np.uint64)
+            return self._advance(
+                run, progressed, counts, fdeg_next, changed, diff
             )
-            return progressed, counts, fdeg_next, empty_frontier
 
         workspace.begin_level(bsa)
         loads = 0
@@ -485,7 +326,7 @@ class BitwiseTraversal:
             # frontier_deg[j] is the degree sum over depth[j] == level —
             # the same per-instance row sums the dense eq-matrix product
             # would produce.
-            logical_edges += int(frontier_deg[td_instances].sum())
+            logical_edges += int(run.frontier_deg[td_instances].sum())
 
         # --- Top-down pass: BSA[v] |= BSA_k[f] ------------------------
         td_frontier = np.flatnonzero(td_mask).astype(VERTEX_DTYPE)
@@ -658,7 +499,20 @@ class BitwiseTraversal:
                 frontier_size=jfq_size,
             )
         )
-        return progressed, counts, fdeg_next, (changed, diff)
+        return self._advance(
+            run, progressed, counts, fdeg_next, changed, diff
+        )
+
+    def _advance(
+        self, run, progressed, counts, frontier_edges, changed, diff
+    ):
+        """Make this level's discoveries the next level's frontier."""
+        run.frontier = (changed, diff)
+        run.frontier_counts = counts
+        run.frontier_deg = frontier_edges
+        run.visited_deg += frontier_edges
+        unexplored = self.graph.num_edges - run.visited_deg
+        return progressed, counts, frontier_edges, unexplored
 
     # ------------------------------------------------------------------
     def _bottom_up_pass(

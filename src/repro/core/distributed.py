@@ -167,19 +167,6 @@ class DistributedIBFS:
             dist_config=dist_config,
         )
 
-    @property
-    def engine(self):
-        """The substrate's engine (read-only back-compat view)."""
-        return self.substrate.engine
-
-    @property
-    def _partitioned(self):
-        return self.substrate.partitioned_engine
-
-    @property
-    def _executor(self):
-        return self.substrate.executor
-
     def close(self) -> None:
         """Tear down the process/partitioned backends (no-op for ``sim``)."""
         self.substrate.close()
@@ -234,7 +221,7 @@ class DistributedIBFS:
             local, wall, exec_stats = self._run_local(
                 sources, max_depth, store_depths
             )
-            if self._partitioned is not None:
+            if self.substrate.partitioned_engine is not None:
                 # Groups execute one after another, each spanning every
                 # partition, so the makespan is the sum of group times
                 # and no group is placed on a single device.
@@ -278,7 +265,7 @@ class DistributedIBFS:
         Runs the traversal once and re-schedules the measured group
         times, which is exactly what varying the cluster size does.
         """
-        if self._partitioned is not None:
+        if self.substrate.partitioned_engine is not None:
             raise SimulationError(
                 "strong_scaling re-schedules whole groups across devices; "
                 "the partitioned backend spans every device per group — "

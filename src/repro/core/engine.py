@@ -4,7 +4,8 @@
 them: sources are partitioned into groups of at most ``N`` (bounded by
 the device-memory capacity rule of section 3), each group runs as one
 joint kernel (JSA- or BSA-based), and groups execute serially on one
-device or are scheduled across a simulated cluster.
+device (:class:`~repro.core.distributed.DistributedIBFS` schedules them
+across a simulated cluster).
 """
 
 from __future__ import annotations
@@ -12,18 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.cluster import Cluster
-from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
 from repro.obs import profile as obs_profile
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
 from repro.core.joint import JointTraversal
-from repro.core.result import ConcurrentResult, GroupStats
+from repro.core.result import ConcurrentResult
+from repro.core.traversal import validate_group
 from repro.plan.policy import DirectionPolicy, Policy
 from repro.plan.types import RunPlan
 
@@ -177,20 +175,9 @@ class IBFS:
         :class:`~repro.plan.types.RunPlan` bit-identically, skipping
         all per-level heuristic evaluation.
         """
-        group = [int(s) for s in group]
-        if not group:
-            raise TraversalError("a group needs at least one source")
-        if len(set(group)) != len(group):
-            raise TraversalError("group sources must be distinct")
-        for s in group:
-            if not 0 <= s < self.graph.num_vertices:
-                raise TraversalError(f"source {s} out of range")
-        capacity = self.effective_group_size()
-        if len(group) > capacity:
-            raise TraversalError(
-                f"group of {len(group)} exceeds the effective group size "
-                f"{capacity}"
-            )
+        group = validate_group(
+            group, self.graph.num_vertices, self.effective_group_size()
+        )
         with obs_profile.span(
             "engine.run_group",
             group_size=len(group),
@@ -201,16 +188,11 @@ class IBFS:
             depths, record, stats = self._group_engine.run_group(
                 group, max_depth=max_depth, plan=plan
             )
-        counters = ProfilerCounters()
-        counters.merge(record.counters)
-        return ConcurrentResult(
-            engine=self.name,
-            sources=group,
-            seconds=stats.seconds,
-            counters=counters,
-            depths=np.asarray(depths),
-            num_vertices=self.graph.num_vertices,
-            groups=[stats],
+        return ConcurrentResult.from_groups(
+            self.name,
+            group,
+            self.graph.num_vertices,
+            [(depths, record.counters, stats)],
         )
 
     # ------------------------------------------------------------------
@@ -219,54 +201,22 @@ class IBFS:
         sources: Sequence[int],
         max_depth: Optional[int] = None,
         store_depths: bool = True,
-        cluster: Optional[Cluster] = None,
     ) -> ConcurrentResult:
-        """Traverse from all sources.
-
-        Groups run serially on this engine's device; pass ``cluster`` to
-        instead schedule the groups across multiple simulated devices
-        (figure 17), in which case ``seconds`` is the cluster makespan.
+        """Traverse from all sources; groups run serially on this
+        engine's device, so ``seconds`` is the sum of the group times
+        (price them on a cluster with :meth:`ConcurrentResult.group_times`).
         """
         sources = [int(s) for s in sources]
-        if not sources:
-            raise TraversalError("at least one source is required")
-        groups = self.make_groups(sources)
-        counters = ProfilerCounters()
-        group_stats: List[GroupStats] = []
-        depth_rows = {} if store_depths else None
-        sole_depths = None
-
-        for group in groups:
-            part = self.run_group(group, max_depth=max_depth)
-            counters.merge(part.counters)
-            group_stats.append(part.groups[0])
-            if depth_rows is not None:
-                if len(groups) == 1 and group == sources:
-                    sole_depths = part.depths
-                else:
-                    for row, source in enumerate(group):
-                        depth_rows[source] = part.depths[row]
-
-        if cluster is not None:
-            seconds = cluster.run([g.seconds for g in group_stats]).makespan
-        else:
-            seconds = sum(g.seconds for g in group_stats)
-
-        matrix = None
-        if sole_depths is not None:
-            # One group in source order: the group's matrix IS the
-            # result — stacking row views would copy it verbatim.
-            matrix = sole_depths
-        elif depth_rows is not None:
-            matrix = np.stack([depth_rows[s] for s in sources])
-        return ConcurrentResult(
-            engine=self.name,
-            sources=sources,
-            seconds=seconds,
-            counters=counters,
-            depths=matrix,
-            num_vertices=self.graph.num_vertices,
-            groups=group_stats,
+        parts = (
+            self.run_group(group, max_depth=max_depth)
+            for group in self.make_groups(sources)
+        )
+        return ConcurrentResult.from_groups(
+            self.name,
+            sources,
+            self.graph.num_vertices,
+            ((p.depths, p.counters, p.groups[0]) for p in parts),
+            store_depths=store_depths,
         )
 
     # ------------------------------------------------------------------
@@ -274,12 +224,10 @@ class IBFS:
         self,
         max_depth: Optional[int] = None,
         store_depths: bool = False,
-        cluster: Optional[Cluster] = None,
     ) -> ConcurrentResult:
         """All-pairs shortest path: traverse from every vertex (i = |V|)."""
         return self.run(
             range(self.graph.num_vertices),
             max_depth=max_depth,
             store_depths=store_depths,
-            cluster=cluster,
         )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,56 @@ class ConcurrentResult:
 
     def __post_init__(self) -> None:
         self._index: Dict[int, int] = {s: i for i, s in enumerate(self.sources)}
+
+    @classmethod
+    def from_groups(
+        cls,
+        engine: str,
+        sources: Sequence[int],
+        num_vertices: int,
+        groups: Iterable[Tuple[Optional[np.ndarray], ProfilerCounters, GroupStats]],
+        store_depths: bool = True,
+    ) -> "ConcurrentResult":
+        """Aggregate the executed groups of a run into one result.
+
+        ``groups`` yields one ``(depths, counters, stats)`` per group,
+        with ``depths`` rows in ``stats.sources`` order.  Counters merge
+        and simulated seconds add up (groups run back to back on one
+        device); the depth rows are stitched back into ``sources``
+        order.  ``sources`` is checked before ``groups`` is consumed,
+        so a lazy ``groups`` runs nothing for an empty source list.
+        """
+        sources = [int(s) for s in sources]
+        if not sources:
+            raise TraversalError("at least one source is required")
+        counters = ProfilerCounters()
+        group_stats: List[GroupStats] = []
+        matrices = []
+        for depths, group_counters, stats in groups:
+            counters.merge(group_counters)
+            group_stats.append(stats)
+            if store_depths:
+                matrices.append(depths)
+        matrix = None
+        if store_depths:
+            if len(matrices) == 1 and group_stats[0].sources == sources:
+                # One group in source order: the group's matrix IS the
+                # result — stacking its row views would copy it verbatim.
+                matrix = matrices[0]
+            else:
+                depth_rows: Dict[int, np.ndarray] = {}
+                for depths, stats in zip(matrices, group_stats):
+                    depth_rows.update(zip(stats.sources, depths))
+                matrix = np.stack([depth_rows[s] for s in sources])
+        return cls(
+            engine=engine,
+            sources=sources,
+            seconds=sum(g.seconds for g in group_stats),
+            counters=counters,
+            depths=matrix,
+            num_vertices=num_vertices,
+            groups=group_stats,
+        )
 
     # ------------------------------------------------------------------
     # Depth queries

@@ -43,6 +43,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
 from repro.core.result import ConcurrentResult, GroupStats
+from repro.core.traversal import validate_group
 from repro.exec.faults import FaultLog, FaultPolicy, crash_error
 from repro.plan.types import Direction, LevelDecision, RunPlan
 from repro.dist.comm import CommCostModel
@@ -502,21 +503,6 @@ class PartitionedEngine:
         return self._backend
 
     # ------------------------------------------------------------------
-    def _validate_group(self, group: List[int]) -> None:
-        if not group:
-            raise TraversalError("a group needs at least one source")
-        if len(set(group)) != len(group):
-            raise TraversalError("group sources must be distinct")
-        for s in group:
-            if not 0 <= s < self.graph.num_vertices:
-                raise TraversalError(f"source {s} out of range")
-        capacity = self.effective_group_size()
-        if len(group) > capacity:
-            raise TraversalError(
-                f"group of {len(group)} exceeds the effective group size "
-                f"{capacity}"
-            )
-
     def run_group(
         self,
         group: Sequence[int],
@@ -529,8 +515,9 @@ class PartitionedEngine:
         from the plan's ``exchange`` fields instead of the policy, so
         the exchange re-sends exactly the recorded bytes.
         """
-        group = [int(s) for s in group]
-        self._validate_group(group)
+        group = validate_group(
+            group, self.graph.num_vertices, self.effective_group_size()
+        )
         stats = DistStats(
             backend=self.config.backend,
             layout=self.config.layout,
@@ -719,14 +706,8 @@ class PartitionedEngine:
             bottom_up_inspections=[0] * group_size,
             plan=recorded,
         )
-        return ConcurrentResult(
-            engine=self.name,
-            sources=group,
-            seconds=seconds,
-            counters=counters,
-            depths=matrix,
-            num_vertices=n,
-            groups=[gstats],
+        return ConcurrentResult.from_groups(
+            self.name, group, n, [(matrix, counters, gstats)]
         )
 
     # ------------------------------------------------------------------
@@ -881,43 +862,32 @@ class PartitionedEngine:
         """Traverse from all sources; same grouping and bit-identical
         depth matrix as :meth:`repro.core.engine.IBFS.run`."""
         sources = [int(s) for s in sources]
-        if not sources:
-            raise TraversalError("at least one source is required")
-        groups = self.make_groups(sources)
-        counters = ProfilerCounters()
-        group_stats: List[GroupStats] = []
-        depth_rows = {} if store_depths else None
         merged = DistStats(
             backend=self.config.backend,
             layout=self.config.layout,
             num_partitions=self.config.num_partitions,
         )
-        for group in groups:
-            part = self.run_group(group, max_depth=max_depth)
-            counters.merge(part.counters)
-            group_stats.append(part.groups[0])
-            run_stats = self.last_stats
-            merged.groups += 1
-            merged.levels.extend(run_stats.levels)
-            merged.crashes += run_stats.crashes
-            merged.respawns += run_stats.respawns
-            merged.retries += run_stats.retries
-            merged.degraded = merged.degraded or run_stats.degraded
-            merged.wall_seconds += run_stats.wall_seconds
-            merged.events.extend(run_stats.events)
-            if depth_rows is not None:
-                for row, source in enumerate(group):
-                    depth_rows[source] = part.depths[row]
-        self.last_stats = merged
-        matrix = None
-        if depth_rows is not None:
-            matrix = np.stack([depth_rows[s] for s in sources])
-        return ConcurrentResult(
-            engine=self.name,
-            sources=sources,
-            seconds=sum(g.seconds for g in group_stats),
-            counters=counters,
-            depths=matrix,
-            num_vertices=self.graph.num_vertices,
-            groups=group_stats,
+
+        def parts():
+            for group in self.make_groups(sources):
+                part = self.run_group(group, max_depth=max_depth)
+                run_stats = self.last_stats
+                merged.groups += 1
+                merged.levels.extend(run_stats.levels)
+                merged.crashes += run_stats.crashes
+                merged.respawns += run_stats.respawns
+                merged.retries += run_stats.retries
+                merged.degraded = merged.degraded or run_stats.degraded
+                merged.wall_seconds += run_stats.wall_seconds
+                merged.events.extend(run_stats.events)
+                yield part.depths, part.counters, part.groups[0]
+
+        result = ConcurrentResult.from_groups(
+            self.name,
+            sources,
+            self.graph.num_vertices,
+            parts(),
+            store_depths=store_depths,
         )
+        self.last_stats = merged
+        return result

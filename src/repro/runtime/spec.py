@@ -9,9 +9,8 @@ exclusion, the partitioned cache-key suffix — derives from one spec.
 
 Engine-key derivation lives here too: the spec owns the cache
 namespace its substrate serves under, so the serving layer no longer
-builds a throwaway engine just to fingerprint its configuration.
-:func:`repro.service.cache.engine_cache_key` delegates to
-:func:`engine_key` for back-compat.
+builds a throwaway engine just to fingerprint its configuration:
+:func:`engine_key` is the one derivation.
 """
 
 from __future__ import annotations

@@ -55,9 +55,10 @@ class Substrate:
 
     Subclasses set :attr:`kind` and the capability flags as class
     attributes (instances may narrow them — a caller-owned executor
-    loses ``supports_mutation``) and implement the traversal surface
-    over their engine.  ``engine_key`` is the cache namespace batches
-    served by this substrate are keyed under.
+    loses ``supports_mutation``) and provide the ``engine`` the
+    traversal surface groups with — plus a :attr:`runner` when groups
+    execute somewhere else.  ``engine_key`` is the cache namespace
+    batches served by this substrate are keyed under.
     """
 
     kind: str = "abstract"
@@ -74,13 +75,20 @@ class Substrate:
     engine_key: str
 
     # -- traversal surface ---------------------------------------------
+    @property
+    def runner(self):
+        """What :meth:`run_group` and :meth:`run` execute on: the engine,
+        unless the placement runs groups elsewhere (a worker pool, an
+        inner substrate)."""
+        return self.engine
+
     def run_group(
         self,
         group: Sequence[int],
         max_depth: Optional[int] = None,
         plan=None,
     ) -> "ConcurrentResult":
-        raise NotImplementedError
+        return self.runner.run_group(group, max_depth=max_depth, plan=plan)
 
     def run(
         self,
@@ -88,21 +96,25 @@ class Substrate:
         max_depth: Optional[int] = None,
         store_depths: bool = True,
     ) -> "ConcurrentResult":
-        raise NotImplementedError
+        return self.runner.run(
+            sources, max_depth=max_depth, store_depths=store_depths
+        )
 
     def make_groups(self, sources: Sequence[int]) -> List[List[int]]:
-        raise NotImplementedError
+        return self.engine.make_groups(sources)
 
     def effective_group_size(self) -> int:
-        raise NotImplementedError
+        return self.engine.effective_group_size()
 
     def map_groups(self, specs: Sequence[tuple], return_errors: bool = False):
         """Concurrent wave dispatch; only executor-backed substrates
         provide it (guard with :attr:`supports_executor`)."""
-        raise SubstrateError(
-            f"substrate {self.kind!r} has supports_executor=False: "
-            f"wave dispatch needs a worker pool"
-        )
+        if not self.supports_executor:
+            raise SubstrateError(
+                f"substrate {self.kind!r} has supports_executor=False: "
+                f"wave dispatch needs a worker pool"
+            )
+        return self.runner.map_groups(specs, return_errors=return_errors)
 
     # -- lifecycle ------------------------------------------------------
     def on_epoch_published(self, snapshot: "Snapshot") -> None:
@@ -130,7 +142,7 @@ class Substrate:
     @property
     def last_stats(self):
         """Substrate-specific stats of the most recent run (or None)."""
-        return None
+        return getattr(self.runner, "last_stats", None)
 
     @property
     def partitioned_engine(self):
@@ -206,20 +218,6 @@ class SerialSubstrate(Substrate):
         )
         self._planner = planner
         self.engine_key = spec.engine_key(self.engine.config, planner)
-
-    def run_group(self, group, max_depth=None, plan=None):
-        return self.engine.run_group(group, max_depth=max_depth, plan=plan)
-
-    def run(self, sources, max_depth=None, store_depths=True):
-        return self.engine.run(
-            sources, max_depth=max_depth, store_depths=store_depths
-        )
-
-    def make_groups(self, sources):
-        return self.engine.make_groups(sources)
-
-    def effective_group_size(self) -> int:
-        return self.engine.effective_group_size()
 
     def on_epoch_published(self, snapshot: "Snapshot") -> None:
         from repro.core.engine import IBFS
@@ -300,24 +298,9 @@ class ExecutorSubstrate(Substrate):
         """The executor's local engine (grouping + in-process path)."""
         return self._executor.engine
 
-    def run_group(self, group, max_depth=None, plan=None):
-        return self._executor.run_group(
-            group, max_depth=max_depth, plan=plan
-        )
-
-    def run(self, sources, max_depth=None, store_depths=True):
-        return self._executor.run(
-            sources, max_depth=max_depth, store_depths=store_depths
-        )
-
-    def make_groups(self, sources):
-        return self._executor.engine.make_groups(sources)
-
-    def effective_group_size(self) -> int:
-        return self._executor.engine.effective_group_size()
-
-    def map_groups(self, specs, return_errors: bool = False):
-        return self._executor.map_groups(specs, return_errors=return_errors)
+    @property
+    def runner(self):
+        return self._executor
 
     def on_epoch_published(self, snapshot: "Snapshot") -> None:
         if not self._owned:
@@ -334,10 +317,6 @@ class ExecutorSubstrate(Substrate):
     def close(self) -> None:
         if self._owned:
             self._executor.close()
-
-    @property
-    def last_stats(self):
-        return self._executor.last_stats
 
     def metrics(self) -> dict:
         payload = {
@@ -395,20 +374,6 @@ class PartitionedSubstrate(Substrate):
     def partitioned_engine(self):
         return self.engine
 
-    def run_group(self, group, max_depth=None, plan=None):
-        return self.engine.run_group(group, max_depth=max_depth, plan=plan)
-
-    def run(self, sources, max_depth=None, store_depths=True):
-        return self.engine.run(
-            sources, max_depth=max_depth, store_depths=store_depths
-        )
-
-    def make_groups(self, sources):
-        return self.engine.make_groups(sources)
-
-    def effective_group_size(self) -> int:
-        return self.engine.effective_group_size()
-
     def on_epoch_published(self, snapshot: "Snapshot") -> None:
         from repro.dist.engine import PartitionedEngine
 
@@ -419,10 +384,6 @@ class PartitionedSubstrate(Substrate):
 
     def close(self) -> None:
         self.engine.close()
-
-    @property
-    def last_stats(self):
-        return self.engine.last_stats
 
     def metrics(self) -> dict:
         payload = {"kind": self.kind, "engine": self.engine.name}
@@ -508,16 +469,16 @@ class StreamSubstrate(Substrate):
         return self.inner.engine
 
     @property
+    def runner(self):
+        return self.inner
+
+    @property
     def partitioned_engine(self):
         return self.inner.partitioned_engine
 
     @property
     def executor(self):
         return self.inner.executor
-
-    @property
-    def last_stats(self):
-        return self.inner.last_stats
 
     @property
     def telemetry_kind(self) -> str:
@@ -527,23 +488,6 @@ class StreamSubstrate(Substrate):
         if self.inner.kind != "serial":
             return self.inner.telemetry_kind
         return self.kind
-
-    def run_group(self, group, max_depth=None, plan=None):
-        return self.inner.run_group(group, max_depth=max_depth, plan=plan)
-
-    def run(self, sources, max_depth=None, store_depths=True):
-        return self.inner.run(
-            sources, max_depth=max_depth, store_depths=store_depths
-        )
-
-    def make_groups(self, sources):
-        return self.inner.make_groups(sources)
-
-    def effective_group_size(self) -> int:
-        return self.inner.effective_group_size()
-
-    def map_groups(self, specs, return_errors: bool = False):
-        return self.inner.map_groups(specs, return_errors=return_errors)
 
     def close(self) -> None:
         self.inner.close()

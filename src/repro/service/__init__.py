@@ -27,8 +27,8 @@ from repro.service.request import (
     STATUS_OK,
     STATUS_TIMEOUT,
 )
-from repro.service.cache import ResultCache, engine_cache_key, graph_cache_id
-from repro.service.metrics import BatchRecord, MetricsRegistry, percentile
+from repro.service.cache import ResultCache, graph_cache_id
+from repro.service.metrics import BatchRecord, MetricsRegistry
 from repro.service.batcher import MicroBatcher
 from repro.service.server import BFSServer, InProcessClient, ServingConfig
 from repro.service.loadgen import (
@@ -48,11 +48,9 @@ __all__ = [
     "STATUS_TIMEOUT",
     "STATUS_FAILED",
     "ResultCache",
-    "engine_cache_key",
     "graph_cache_id",
     "BatchRecord",
     "MetricsRegistry",
-    "percentile",
     "MicroBatcher",
     "BFSServer",
     "InProcessClient",

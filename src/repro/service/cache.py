@@ -19,7 +19,8 @@ same machinery:
 
 ``graph_id`` fingerprints the CSR arrays (so two servers on different
 graphs never alias) and ``engine_key`` fingerprints the engine
-configuration plus the planner policy, per the serving-layer contract.
+configuration plus the planner policy, per the serving-layer contract
+(:func:`repro.runtime.spec.engine_key` derives it).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
-from repro.core.engine import IBFSConfig
 from repro.plan.types import RunPlan
 
 
@@ -61,20 +61,6 @@ def graph_cache_id(graph: CSRGraph) -> str:
     if freeze is not None:
         freeze()
     return cache_id
-
-
-def engine_cache_key(
-    config: IBFSConfig, policy_name: Optional[str] = None
-) -> str:
-    """Stable fingerprint of the engine configuration.
-
-    Back-compat delegate: key derivation moved next to the placement
-    spec (:func:`repro.runtime.spec.engine_key`), which also owns the
-    substrate-suffix namespacing partitioned placements need.
-    """
-    from repro.runtime.spec import engine_key
-
-    return engine_key(config, policy_name)
 
 
 class LRUCache:

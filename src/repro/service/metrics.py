@@ -11,8 +11,7 @@ Latency distribution math routes through
 :class:`repro.obs.metrics.Histogram` — the same fixed bucket
 boundaries and the same percentile implementation the executor's task
 wall-clock distribution uses — so serving and exec latencies are
-directly comparable.  :func:`repro.obs.metrics.percentile` is
-re-exported here for backward compatibility.
+directly comparable.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ from repro.obs.metrics import (
     Histogram,
     MetricsHub,
     get_hub,
-    percentile,
 )
 
-__all__ = ["BatchRecord", "MetricsRegistry", "percentile"]
+__all__ = ["BatchRecord", "MetricsRegistry"]
 
 
 @dataclass

@@ -251,25 +251,8 @@ class BFSServer:
         self._next_batch_id = 0
 
     # ------------------------------------------------------------------
-    # Back-compat views of the substrate's internals
+    # Construction checks and lifecycle
     # ------------------------------------------------------------------
-    @property
-    def engine(self):
-        """The substrate's engine (read-only back-compat view)."""
-        return self.substrate.engine
-
-    @property
-    def partitioned(self):
-        """The PartitionedEngine when this server partitions, else None
-        (read-only back-compat view)."""
-        return self.substrate.partitioned_engine
-
-    @property
-    def executor(self):
-        """The GroupExecutor when this server pools workers, else None
-        (read-only back-compat view)."""
-        return self.substrate.executor
-
     def _check_executor(
         self,
         executor: "GroupExecutor",

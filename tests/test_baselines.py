@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import B40C, CPUiBFS, MSBFS, SpMMBC
+from repro.errors import TraversalError
 from repro.graph.generators import kronecker
 from repro.bfs.reference import reference_bfs_multi
 from repro.core.engine import IBFS, IBFSConfig
@@ -33,6 +34,21 @@ class TestCorrectness:
     def test_all_baselines_match_reference(self, kron, sources, factory):
         result = factory(kron).run(sources)
         assert np.array_equal(result.depths, reference_bfs_multi(kron, sources))
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda g: MSBFS(g, group_size=8),
+            lambda g: SpMMBC(g, group_size=8),
+            lambda g: CPUiBFS(g),
+        ],
+        ids=["ms-bfs", "spmm-bc", "cpu-ibfs"],
+    )
+    def test_grouped_baselines_reject_empty_sources(self, kron, factory):
+        with pytest.raises(
+            TraversalError, match="at least one source is required"
+        ):
+            factory(kron).run([])
 
 
 class TestMSBFS:

@@ -7,7 +7,7 @@ from repro.errors import TraversalError
 from repro.graph.builders import from_edges
 from repro.graph.generators import kronecker, path, star
 from repro.gpusim.device import Device
-from repro.bfs.direction import DirectionPolicy
+from repro.plan import DirectionPolicy
 from repro.bfs.reference import reference_bfs
 from repro.bfs.single import SingleBFS
 

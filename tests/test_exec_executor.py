@@ -106,14 +106,15 @@ class TestDeterminism:
 
     def test_cluster_pricing_matches_serial(self, graph):
         cluster = Cluster(2)
-        expected = IBFS(graph, CONFIG).run(
-            SOURCES, store_depths=False, cluster=cluster
-        )
+        expected = IBFS(graph, CONFIG).run(SOURCES, store_depths=False)
         with GroupExecutor(
             graph, CONFIG, exec_config=ExecConfig(num_workers=2)
         ) as executor:
-            result = executor.run(SOURCES, store_depths=False, cluster=cluster)
-        assert result.seconds == expected.seconds
+            result = executor.run(SOURCES, store_depths=False)
+        assert (
+            cluster.run(result.group_times()).makespan
+            == cluster.run(expected.group_times()).makespan
+        )
 
 
 @needs_shm

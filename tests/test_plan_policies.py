@@ -1,12 +1,9 @@
 """Planner policy behavior and the validation satellites.
 
-Covers the typed rejection of bad direction thresholds (in the planner
-and through the deprecated ``repro.bfs.direction`` shim), the engine
+Covers the typed rejection of bad direction thresholds, the engine
 configuration validation that rides this layer, and the decision
 semantics of every policy family.
 """
-
-import warnings
 
 import pytest
 
@@ -35,7 +32,7 @@ BU = Direction.BOTTOM_UP
 
 
 # ----------------------------------------------------------------------
-# DirectionPolicy threshold validation (planner + legacy shim)
+# DirectionPolicy threshold validation
 # ----------------------------------------------------------------------
 class TestDirectionPolicyValidation:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, -14.0])
@@ -52,31 +49,6 @@ class TestDirectionPolicyValidation:
         policy = DirectionPolicy()
         assert policy.alpha == 14.0
         assert policy.beta == 24.0
-
-    def test_shim_reexports_same_class_and_validates(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import importlib
-
-            import repro.bfs.direction as shim
-
-            importlib.reload(shim)
-        assert shim.DirectionPolicy is DirectionPolicy
-        assert shim.Direction is Direction
-        with pytest.raises(TraversalError, match="alpha must be positive"):
-            shim.DirectionPolicy(alpha=0.0)
-        with pytest.raises(TraversalError, match="beta must be positive"):
-            shim.DirectionPolicy(beta=-1.0)
-
-    def test_shim_warns_on_import(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.bfs.direction", None)
-        with pytest.warns(DeprecationWarning, match="repro.plan"):
-            import repro.bfs.direction as shim
-
-            importlib.reload(shim)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import grid_2d, kronecker, uniform_random
-from repro.bfs.direction import DirectionPolicy
+from repro.plan import DirectionPolicy
 from repro.bfs.reference import reference_bfs_multi
 from repro.bfs.single import SingleBFS
 from repro.core.bitwise import BitwiseTraversal

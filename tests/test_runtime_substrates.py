@@ -18,6 +18,7 @@ from repro.errors import (
     ServiceError,
     SubstrateCapabilityError,
     SubstrateError,
+    TraversalError,
     UnknownSubstrateError,
     UnsupportedMutationError,
 )
@@ -32,7 +33,6 @@ from repro.runtime import (
     engine_key,
     make_substrate,
 )
-from repro.service.cache import engine_cache_key
 
 CONFIG = IBFSConfig(group_size=8)
 SOURCES = list(range(0, 48, 2))
@@ -117,6 +117,29 @@ class TestBitIdentityMatrix:
             expected = IBFS(graph, CONFIG).run_group(group)
             result = substrate.run_group(group)
             assert np.array_equal(result.depths, expected.depths)
+        finally:
+            substrate.close()
+
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ([], "a group needs at least one source"),
+            ([3, 3], "group sources must be distinct"),
+            ([0, 128], "source 128 out of range"),
+            (list(range(9)), "group of 9 exceeds the effective group size 8"),
+        ],
+        ids=["empty", "duplicate", "out-of-range", "over-capacity"],
+    )
+    @pytest.mark.parametrize("kind", SUBSTRATE_NAMES)
+    def test_rejects_malformed_group(self, graph, kind, group, message):
+        # Every placement validates a caller-formed group the same way,
+        # message included, before anything runs.
+        assert graph.num_vertices == 128
+        substrate = build(kind, graph)
+        try:
+            with pytest.raises(TraversalError) as info:
+                substrate.run_group(group)
+            assert str(info.value) == message
         finally:
             substrate.close()
 
@@ -217,12 +240,6 @@ class TestRegistry:
 # Engine-key derivation
 # ----------------------------------------------------------------------
 class TestEngineKey:
-    def test_matches_legacy_cache_key(self):
-        assert engine_key(CONFIG, "heuristic") == engine_cache_key(
-            CONFIG, "heuristic"
-        )
-        assert engine_key(CONFIG) == engine_cache_key(CONFIG)
-
     def test_partitioned_suffix_namespaces(self, graph):
         serial = make_substrate(
             SubstrateSpec(), graph, engine_config=CONFIG

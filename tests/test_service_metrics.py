@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service.metrics import BatchRecord, MetricsRegistry, percentile
+from repro.obs.metrics import percentile
+from repro.service.metrics import BatchRecord, MetricsRegistry
 
 
 class TestPercentile:

@@ -243,7 +243,7 @@ class TestMetricsAndDevices:
 
     def test_batch_size_clamped_by_device_capacity(self, graph):
         server = BFSServer(graph, ServingConfig(batch_size=10**9))
-        assert server.batch_size <= server.engine.effective_group_size()
+        assert server.batch_size <= server.substrate.effective_group_size()
 
     def test_multiple_devices_overlap_batches(self, graph):
         sources = list(range(16))

@@ -53,7 +53,7 @@ class TestMutationBarrier:
             g, serving(batch_size=64, flush_deadline=10.0)
         ) as server:
             before = np.asarray(
-                BFSServer(g, serving()).engine.run_group([5]).depths[0]
+                BFSServer(g, serving()).substrate.engine.run_group([5]).depths[0]
             )
             server.submit(Request(source=5, kind="bfs"))
             record = server.mutate(inserts=([5], [7]))
@@ -99,7 +99,7 @@ class TestCacheAcrossEpochs:
             assert all(r.cached for r in responses.values())
             # ...and are bit-identical to a fresh server on the new graph.
             fresh = BFSServer(server.graph, serving())
-            scratch = fresh.engine.run_group(sources).depths
+            scratch = fresh.substrate.engine.run_group(sources).depths
             for i, s in enumerate(sources):
                 assert np.array_equal(responses[s].depths, scratch[i])
 
@@ -176,12 +176,12 @@ class TestPartitionedEpochs:
                 np.asarray(before) < 0)[0])] if (
                 np.asarray(before) < 0).any() else [1]))
             after = ask(server, 0).depths
-            scratch = BFSServer(server.graph, serving()).engine.run_group(
-                [0]
-            ).depths[0]
+            fresh = BFSServer(server.graph, serving())
+            scratch = fresh.substrate.engine.run_group([0]).depths[0]
             assert np.array_equal(after, scratch)
-            assert server.partitioned is not None
-            assert server.partitioned.graph is server.graph
+            partitioned = server.substrate.partitioned_engine
+            assert partitioned is not None
+            assert partitioned.graph is server.graph
 
 
 class TestChurnLoop:
