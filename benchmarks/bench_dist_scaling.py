@@ -19,9 +19,12 @@ Results land in ``BENCH_dist.json`` at the repo root (or ``--output``;
 ``BENCH_dist.quick.json`` in ``--quick`` mode).  ``--check`` gates:
 
 * every configuration must be bit-identical (always enforced);
-* the 2-partition 1d wall time must stay within ``--max-slowdown``
-  (default 1.5x) of the 1-partition run — splitting the graph must not
-  blow up the per-level constant factors;
+* the 1-partition 1d wall time must stay within ``--max-slowdown``
+  (default 1.5x) of serial ``IBFS`` — each partition runs the serial
+  engine's kernel ops, so the partitioned loop adds only bookkeeping;
+* the 2-partition 1d wall time must stay within ``--max-slowdown`` of
+  the 1-partition run — splitting the graph must not blow up the
+  per-level constant factors;
 * sparse must beat dense on low-frontier levels: the auto run's
   cheapest sparse level must cost fewer update bytes than the fixed
   dense broadcast, and auto must never price a level above both forced
@@ -84,12 +87,14 @@ def main(argv=None):
                              "--quick)")
     parser.add_argument("--check", action="store_true",
                         help="fail unless all configurations are "
-                             "bit-identical, 2 partitions stay within "
-                             "--max-slowdown of 1, and sparse beats dense "
-                             "on low-frontier levels")
+                             "bit-identical, 1 partition stays within "
+                             "--max-slowdown of serial, 2 partitions "
+                             "within --max-slowdown of 1, and sparse "
+                             "beats dense on low-frontier levels")
     parser.add_argument("--max-slowdown", type=float, default=1.5,
-                        help="allowed 2-partition / 1-partition wall "
-                             "ratio under --check")
+                        help="allowed 1-partition / serial and "
+                             "2-partition / 1-partition wall ratios "
+                             "under --check")
     args = parser.parse_args(argv)
 
     scale, edge_factor, group_size, num_sources = (
@@ -223,6 +228,12 @@ def main(argv=None):
 
     failures = []
     if args.check:
+        vs_serial = walls[(1, "1d")] / serial_seconds
+        if vs_serial > args.max_slowdown:
+            failures.append(
+                f"1-partition wall {vs_serial:.2f}x serial IBFS "
+                f"> {args.max_slowdown:.1f}x"
+            )
         slowdown = walls[(2, "1d")] / walls[(1, "1d")]
         if slowdown > args.max_slowdown:
             failures.append(
@@ -245,6 +256,7 @@ def main(argv=None):
                 )
         payload["check"] = {
             "max_slowdown": args.max_slowdown,
+            "one_partition_vs_serial": vs_serial,
             "two_partition_slowdown": slowdown,
             "cheapest_sparse_bytes": sparse_min,
             "dense_bytes_per_level": dense_fixed,

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
@@ -50,6 +51,8 @@ class NaiveConcurrentBFS:
     ) -> ConcurrentResult:
         """Traverse from every source with Hyper-Q kernel overlap."""
         sources = [int(s) for s in sources]
+        if not sources:
+            raise TraversalError("at least one source is required")
         counters = ProfilerCounters()
         kernels = []
         depths = [] if store_depths else None

@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.counters import ProfilerCounters
 from repro.gpusim.device import Device
@@ -43,6 +44,8 @@ class SequentialConcurrentBFS:
     ) -> ConcurrentResult:
         """Traverse from every source sequentially; times add up."""
         sources = [int(s) for s in sources]
+        if not sources:
+            raise TraversalError("at least one source is required")
         counters = ProfilerCounters()
         total_seconds = 0.0
         depths = [] if store_depths else None

@@ -35,16 +35,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.native as native
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.counters import ProfilerCounters
-from repro.kernels.bookkeeping import unpack_lane_bits
+from repro.kernels import per_bit_counts, scatter_or, unpack_lane_bits
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
 from repro.core.result import ConcurrentResult, GroupStats
 from repro.core.traversal import validate_group
 from repro.exec.faults import FaultLog, FaultPolicy, crash_error
+from repro.util import expand_ranges
 from repro.plan.types import Direction, LevelDecision, RunPlan
 from repro.dist.comm import CommCostModel
 from repro.dist.exchange import (
@@ -70,6 +72,10 @@ UNVISITED = -1
 MAX_GROUP_SIZE = 64
 
 _BACKENDS = ("inline", "process")
+
+#: Vertices per row block when transposing owned depth blocks into the
+#: ``(group, |V|)`` result.
+_COPY_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ class PartitionState:
 
     # -- expand --------------------------------------------------------
     def expand(
-        self, vertices: np.ndarray, masks: np.ndarray, fmt: str
+        self, vertices: np.ndarray, masks: np.ndarray, fmt: str, kernel: str
     ) -> Tuple[List[Tuple[int, ExchangePayload]], int]:
         """Scan this block's rows of the frontier slice and return the
         encoded per-owner payloads plus the number of edges scanned.
@@ -166,29 +172,31 @@ class PartitionState:
         ``vertices`` are global frontier ids within the block's source
         range; under the dense format a payload goes to *every* owner
         range overlapping the block's column band (the broadcast), under
-        the sparse format only where updates exist.
+        the sparse format only where updates exist.  ``kernel`` is the
+        level's :attr:`LevelDecision.kernel
+        <repro.plan.types.LevelDecision.kernel>`: the top-down
+        ``BSA[v] |= BSA_k[f]`` runs on the serial engine's fused native
+        edge map when it resolves, else on the segmented numpy scatter.
         """
         part = self.part
         local = np.asarray(vertices, dtype=np.int64) - part.src_start
         ro = part.row_offsets
         starts = ro[local]
-        counts = (ro[local + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
+        counts = ro[local + 1] - starts
+        slots = expand_ranges(starts, counts)
+        scratch = self._scratch
         touched = np.empty(0, dtype=np.int64)
-        if total:
-            head = np.concatenate(([0], np.cumsum(counts[:-1])))
-            flat = (
-                np.repeat(starts, counts)
-                + np.arange(total, dtype=np.int64)
-                - np.repeat(head, counts)
-            )
-            dsts = part.col_indices[flat] - part.dst_start
-            scratch = self._scratch
-            np.bitwise_or.at(scratch, dsts, np.repeat(masks, counts))
-            touched = np.flatnonzero(scratch)
+        if slots.size:
+            dsts = part.col_indices[slots]
+            dsts -= part.dst_start
+            if native.effective(kernel, 1):
+                native.scatter_or(scratch, dsts, masks, repeats=counts)
+                touched = native.unique_targets(dsts, scratch.size)
+            else:
+                touched = scatter_or(scratch, dsts, np.repeat(masks, counts))
         payloads: List[Tuple[int, ExchangePayload]] = []
         touched_global = touched + part.dst_start
-        touched_masks = self._scratch[touched]
+        touched_masks = scratch[touched]
         owners = np.flatnonzero(
             (self.own_bounds[:-1] < part.dst_stop)
             & (self.own_bounds[1:] > part.dst_start)
@@ -208,13 +216,12 @@ class PartitionState:
                     ),
                 )
             )
-        if touched.size:
-            self._scratch[touched] = 0
-        return payloads, total
+        scratch[touched] = 0
+        return payloads, slots.size
 
     # -- apply ---------------------------------------------------------
     def apply(
-        self, level: int, payloads: Sequence[ExchangePayload]
+        self, level: int, payloads: Sequence[ExchangePayload], kernel: str
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Merge incoming updates; returns the newly discovered frontier
         slice (global vertex ids, instance masks).  ``level == -1``
@@ -223,17 +230,23 @@ class PartitionState:
         acc = np.zeros(part.own_size, dtype=np.uint64)
         for payload in payloads:
             merge_payload(payload, acc, part.own_start)
-        new = acc & ~self.visited
-        idx = np.flatnonzero(new)
+        acc &= ~self.visited
+        idx = np.flatnonzero(acc)
+        new = acc[idx]
         if idx.size:
-            self.visited[idx] |= new[idx]
-            bits = unpack_lane_bits(
-                new[idx].reshape(-1, 1), self.group_size
-            ).astype(bool)
-            rows = self.depths[idx]
-            rows[bits] = level + 1
-            self.depths[idx] = rows
-        return idx + part.own_start, new[idx]
+            self.visited[idx] |= new
+            # A newly set bit's depth cell still holds UNVISITED (-1):
+            # adding level + 2 where bits are set writes level + 1.
+            if native.effective(kernel, 1):
+                native.depth_update(self.depths, idx, new, level + 2)
+            else:
+                bits = unpack_lane_bits(
+                    new.reshape(-1, 1), self.group_size
+                ).astype(bool)
+                rows = self.depths[idx]
+                rows[bits] = level + 1
+                self.depths[idx] = rows
+        return idx + part.own_start, new
 
     # -- collect -------------------------------------------------------
     def collect(self) -> np.ndarray:
@@ -260,20 +273,22 @@ class _InlineBackend:
         level: int,
         attempt: int,
         fmt: str,
+        kernel: str,
         frontier_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
     ):
-        results = []
-        for state, (vertices, masks) in zip(self.states, frontier_slices):
-            results.append(state.expand(vertices, masks, fmt))
-        return results
+        return [
+            state.expand(vertices, masks, fmt, kernel)
+            for state, (vertices, masks) in zip(self.states, frontier_slices)
+        ]
 
     def apply(
         self,
         level: int,
+        kernel: str,
         payloads_per_part: Sequence[List[ExchangePayload]],
     ):
         return [
-            state.apply(level, payloads)
+            state.apply(level, payloads, kernel)
             for state, payloads in zip(self.states, payloads_per_part)
         ]
 
@@ -624,7 +639,7 @@ class PartitionedEngine:
             inject = self._bucket_by_owner(
                 src_vertices[order], src_masks[order]
             )
-            new_slices = backend.apply(-1, inject)
+            new_slices = backend.apply(-1, self._kernel(plan, 0), inject)
 
             counters = ProfilerCounters()
             traces: List[LevelTrace] = []
@@ -642,11 +657,13 @@ class PartitionedEngine:
                 if max_depth is not None and level >= max_depth:
                     break
                 fmt = self._resolve_format(plan, level, new_slices)
+                kernel = self._kernel(plan, level)
                 with tracer.span(
                     "exchange.level", level=level, fmt=fmt
                 ) as span:
                     trace, new_slices = self._run_level(
-                        backend, pset, level, attempt, fmt, new_slices
+                        backend, pset, level, attempt, fmt, kernel,
+                        new_slices,
                     )
                     cost = self.cost_model.price_level(
                         trace.edges_scanned, trace.nbytes, trace.messages
@@ -664,13 +681,15 @@ class PartitionedEngine:
                 seconds += cost.total_seconds
                 traces.append(trace)
                 recorded.append(
-                    LevelDecision(directions=td, exchange=fmt)
+                    LevelDecision(directions=td, exchange=fmt, kernel=kernel)
                 )
                 counters.levels += 1
                 counters.kernel_launches += pset.num_partitions
                 counters.edges_traversed += sum(trace.edges_scanned)
                 new_total = sum(int(v.shape[0]) for v, _ in new_slices)
-                new_bits = self._popcount_slices(new_slices, group_size)
+                new_bits = self._popcount_slices(
+                    new_slices, group_size, kernel
+                )
                 counters.frontier_enqueues += new_bits
                 counters.inspections += trace.entries
                 jfq_sizes.append(new_total)
@@ -681,11 +700,16 @@ class PartitionedEngine:
                 level += 1
 
             blocks = backend.collect()
-            matrix = np.full((group_size, n), UNVISITED, dtype=np.int32)
+            # The owner ranges cover [0, n) (check_partition_cover), so
+            # every column is written below.  Row-block copies keep each
+            # block's strided reads cache resident, as the serial
+            # engine's depth materialization does.
+            matrix = np.empty((group_size, n), dtype=np.int32)
             for part, block in zip(pset.parts, blocks):
-                matrix[:, part.own_start : part.own_stop] = np.asarray(
-                    block, dtype=np.int32
-                ).T
+                for i in range(0, block.shape[0], _COPY_ROWS):
+                    rows = block[i : i + _COPY_ROWS]
+                    lo = part.own_start + i
+                    matrix[:, lo : lo + rows.shape[0]] = rows.T
 
         stats.levels.extend(traces)
         shared = [s for s in per_level_sharing if s > 0]
@@ -711,16 +735,29 @@ class PartitionedEngine:
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _replayed(
+        plan: Optional[RunPlan], level: int
+    ) -> Optional[LevelDecision]:
+        """The recorded decision ``level`` replays (None when live)."""
+        if plan is None or not plan.decisions:
+            return None
+        return plan.decisions[min(level, len(plan.decisions) - 1)]
+
+    def _kernel(self, plan: Optional[RunPlan], level: int) -> str:
+        """The level's kernel variant: the replayed plan's, else auto."""
+        decision = self._replayed(plan, level)
+        return decision.kernel if decision is not None else "auto"
+
     def _resolve_format(
         self,
         plan: Optional[RunPlan],
         level: int,
         new_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
     ) -> str:
-        if plan is not None and len(plan.decisions):
-            decision = plan.decisions[min(level, len(plan.decisions) - 1)]
-            if decision.exchange != "auto":
-                return decision.exchange
+        decision = self._replayed(plan, level)
+        if decision is not None and decision.exchange != "auto":
+            return decision.exchange
         frontier_edges = 0
         for vertices, _ in new_slices:
             if vertices.size:
@@ -762,6 +799,7 @@ class PartitionedEngine:
         level: int,
         attempt: int,
         fmt: str,
+        kernel: str,
         new_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
     ) -> Tuple[LevelTrace, List[Tuple[np.ndarray, np.ndarray]]]:
         """Expand + exchange + apply for one level."""
@@ -805,7 +843,9 @@ class PartitionedEngine:
                     )
                 )
 
-        expanded = backend.expand(level, attempt, fmt, frontier_slices)
+        expanded = backend.expand(
+            level, attempt, fmt, kernel, frontier_slices
+        )
 
         update_bytes = 0
         update_messages = 0
@@ -822,7 +862,7 @@ class PartitionedEngine:
                 update_messages += 1
                 entries += payload.entries
 
-        new_slices = backend.apply(level, per_owner)
+        new_slices = backend.apply(level, kernel, per_owner)
         trace = LevelTrace(
             level=level,
             fmt=fmt,
@@ -840,17 +880,12 @@ class PartitionedEngine:
 
     @staticmethod
     def _popcount_slices(
-        slices: Sequence[Tuple[np.ndarray, np.ndarray]], group_size: int
+        slices: Sequence[Tuple[np.ndarray, np.ndarray]],
+        group_size: int,
+        kernel: str,
     ) -> int:
-        total = 0
-        for _, masks in slices:
-            if masks.size:
-                total += int(
-                    unpack_lane_bits(
-                        masks.reshape(-1, 1), group_size
-                    ).sum()
-                )
-        return total
+        masks = np.concatenate([m for _, m in slices])
+        return int(per_bit_counts(masks, group_size, kernel=kernel).sum())
 
     # ------------------------------------------------------------------
     def run(

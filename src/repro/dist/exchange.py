@@ -78,13 +78,23 @@ def encode_updates(
     fmt: str,
 ) -> ExchangePayload:
     """Encode aggregated ``(vertex, mask)`` updates for the owner range
-    ``[start, stop)`` in the resolved wire format."""
+    ``[start, stop)`` in the resolved wire format.
+
+    Sparse ``vertices`` must be strictly increasing — every sender
+    aggregates per destination first — so an owner merges a payload
+    with one plain fancy-indexed OR.
+    """
     if fmt == "sparse":
+        vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+        if vertices.size > 1 and not (vertices[1:] > vertices[:-1]).all():
+            raise TraversalError(
+                "sparse exchange vertices must be strictly increasing"
+            )
         return ExchangePayload(
             fmt="sparse",
             start=start,
             stop=stop,
-            vertices=np.ascontiguousarray(vertices, dtype=np.int64),
+            vertices=vertices,
             masks=np.ascontiguousarray(masks, dtype=np.uint64),
         )
     if fmt == "dense":
@@ -110,9 +120,9 @@ def merge_payload(
         acc[lo : lo + payload.masks.shape[0]] |= payload.masks
         return
     if payload.vertices is not None and payload.vertices.size:
-        np.bitwise_or.at(
-            acc, payload.vertices - acc_start, payload.masks
-        )
+        # Sparse vertices are distinct (see encode_updates), so the
+        # fancy-indexed OR never loses an update to a duplicate.
+        acc[payload.vertices - acc_start] |= payload.masks
 
 
 @dataclass(frozen=True)

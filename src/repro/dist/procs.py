@@ -7,11 +7,13 @@ the two backends cannot diverge.  The parent drives the level loop in
 lock step —
 
 ``("init", epoch, attempt, group_size)`` →
-``("apply", epoch, level, payloads)`` / ``("expand", epoch, attempt,
-level, fmt, vertices, masks)`` alternating per level →
+``("apply", epoch, level, kernel, payloads)`` / ``("expand", epoch,
+attempt, level, fmt, kernel, vertices, masks)`` alternating per level →
 ``("collect", epoch)`` —
 
 and gathers one reply per partition per step off a shared result queue.
+``kernel`` is the level's :attr:`~repro.plan.types.LevelDecision.kernel`,
+so every worker runs the variant the parent resolved or replays.
 ``epoch`` bumps on every group attempt, so stragglers from an aborted
 attempt are identified and dropped by epoch alone (the exec backend's
 staleness rule).  A worker death surfaces as :class:`PartitionCrash`;
@@ -77,9 +79,10 @@ class DistFaultPlan:
     crash: Mapping[int, int] = field(default_factory=dict)
     level: int = 1
 
-    def apply(self, part_id: int, level: int, attempt: int) -> None:
-        if level == self.level and attempt < self.crash.get(part_id, 0):
-            os._exit(CRASH_EXIT_CODE)
+    def crashes(self, part_id: int, level: int, attempt: int) -> bool:
+        """Whether worker ``part_id`` dies expanding ``level`` on this
+        group attempt."""
+        return level == self.level and attempt < self.crash.get(part_id, 0)
 
     @property
     def empty(self) -> bool:
@@ -115,15 +118,28 @@ def partition_worker_main(
                     state.init_group(message[3])
                     result_queue.put(("ready", part_id, epoch))
                 elif kind == "expand":
-                    _, _, attempt, level, fmt, vertices, masks = message
-                    plan.apply(part_id, level, attempt)
-                    payloads, edges = state.expand(vertices, masks, fmt)
+                    _, _, attempt, level, fmt, kernel, vertices, masks = (
+                        message
+                    )
+                    if plan.crashes(part_id, level, attempt):
+                        # Let the feeder thread finish writing this
+                        # worker's earlier replies first: exiting while
+                        # it holds the shared result queue's write lock
+                        # would wedge every other worker's replies.
+                        result_queue.close()
+                        result_queue.join_thread()
+                        os._exit(CRASH_EXIT_CODE)
+                    payloads, edges = state.expand(
+                        vertices, masks, fmt, kernel
+                    )
                     result_queue.put(
                         ("updates", part_id, epoch, payloads, edges)
                     )
                 elif kind == "apply":
-                    _, _, level, payloads = message
-                    new_vertices, new_masks = state.apply(level, payloads)
+                    _, _, level, kernel, payloads = message
+                    new_vertices, new_masks = state.apply(
+                        level, payloads, kernel
+                    )
                     result_queue.put(
                         ("new", part_id, epoch, new_vertices, new_masks)
                     )
@@ -318,6 +334,7 @@ class ProcessBackend:
         level: int,
         attempt: int,
         fmt: str,
+        kernel: str,
         frontier_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
     ):
         self._broadcast(
@@ -327,6 +344,7 @@ class ProcessBackend:
                 attempt,
                 level,
                 fmt,
+                kernel,
                 frontier_slices[part_id][0],
                 frontier_slices[part_id][1],
             )
@@ -336,12 +354,15 @@ class ProcessBackend:
             for _, _, _, payloads, edges in self._gather("updates")
         ]
 
-    def apply(self, level: int, payloads_per_part) -> List[Tuple]:
+    def apply(
+        self, level: int, kernel: str, payloads_per_part
+    ) -> List[Tuple]:
         self._broadcast(
             lambda part_id: (
                 "apply",
                 self._epoch,
                 level,
+                kernel,
                 payloads_per_part[part_id],
             )
         )

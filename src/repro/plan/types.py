@@ -79,7 +79,10 @@ class LevelDecision:
         active-instance bookkeeping, so entries of completed instances
         are carried along but never executed.
     kernel:
-        Bottom-up scan kernel variant (one of :data:`KERNEL_VARIANTS`).
+        Bottom-up scan kernel variant (one of :data:`KERNEL_VARIANTS`);
+        ``"auto"``/``"native"`` also route the top-down edge map and
+        the depth update through :mod:`repro.native`, in the serial
+        engine and in every partition of the partitioned engine.
     vector_width:
         Status words fetched per load instruction (1, 2, or 4).
     snapshot:

@@ -94,6 +94,21 @@ def any_engine_factory(request):
     return request.param
 
 
+def loadable_native_providers():
+    """Native providers that load here: ``python`` always, plus
+    ``cext``/``numba`` where a compiler or Numba exists."""
+    import repro.native as native
+
+    names = ["python"]
+    for name in ("cext", "numba"):
+        try:
+            native._load_backend(name)
+        except ImportError:
+            continue
+        names.append(name)
+    return names
+
+
 def pick_sources(graph, count, seed=0):
     """Deterministic distinct sources spread over the graph."""
     rng = np.random.default_rng(seed)

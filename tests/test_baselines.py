@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import B40C, CPUiBFS, MSBFS, SpMMBC
+from repro import NaiveConcurrentBFS, SequentialConcurrentBFS
 from repro.errors import TraversalError
 from repro.graph.generators import kronecker
 from repro.bfs.reference import reference_bfs_multi
@@ -41,8 +42,11 @@ class TestCorrectness:
             lambda g: MSBFS(g, group_size=8),
             lambda g: SpMMBC(g, group_size=8),
             lambda g: CPUiBFS(g),
+            lambda g: B40C(g),
+            lambda g: SequentialConcurrentBFS(g),
+            lambda g: NaiveConcurrentBFS(g),
         ],
-        ids=["ms-bfs", "spmm-bc", "cpu-ibfs"],
+        ids=["ms-bfs", "spmm-bc", "cpu-ibfs", "b40c", "sequential", "naive"],
     )
     def test_grouped_baselines_reject_empty_sources(self, kron, factory):
         with pytest.raises(

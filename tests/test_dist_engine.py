@@ -6,9 +6,13 @@ and what the communication costs, but the depth matrix must stay
 bit-identical to the serial :class:`repro.core.engine.IBFS`.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import repro.native as native
 from repro.errors import SimulationError, TraversalError
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFS, IBFSConfig
@@ -20,9 +24,16 @@ from repro.dist.exchange import (
     DENSE_SLOT_BYTES,
     SPARSE_ENTRY_BYTES,
     ExchangePolicy,
+    encode_updates,
+    merge_payload,
 )
+from repro.exec.shm import shared_memory_available
+from tests.conftest import loadable_native_providers
 
 GROUP_SIZE = 8
+
+
+PROVIDERS = loadable_native_providers()
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +144,133 @@ class TestReplay:
         replayed = engine.run_group(group, plan=forced)
         assert np.array_equal(replayed.depths, baseline.depths)
         assert set(engine.last_stats.formats()) == {"dense"}
+
+
+def _run_with_provider(graph, sources, provider, num_partitions, layout,
+                       **overrides):
+    with native.force_backend(provider):
+        with dist_engine(graph, num_partitions, layout, **overrides) as engine:
+            result = engine.run(sources)
+    return result, engine.last_stats
+
+
+def _stats_without_wall(stats):
+    # Modeled compute/exchange seconds are deterministic; only the host
+    # wall clock may differ between kernel variants.
+    payload = stats.to_dict()
+    del payload["wall_seconds"]
+    return payload
+
+
+class TestNativeKernels:
+    """Each partition's expand and apply run on the level's kernel
+    variant; every native provider and the numpy fallback agree bit for
+    bit in depths, simulated counters and exchange accounting."""
+
+    SOURCES = list(range(0, 40, 2))
+
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    @pytest.mark.parametrize("layout", ["1d", "2d"])
+    @pytest.mark.parametrize("num_partitions", [1, 4])
+    def test_provider_matches_numpy(
+        self, graph, provider, layout, num_partitions
+    ):
+        expected, expected_stats = _run_with_provider(
+            graph, self.SOURCES, "off", num_partitions, layout
+        )
+        result, stats = _run_with_provider(
+            graph, self.SOURCES, provider, num_partitions, layout
+        )
+        assert np.array_equal(result.depths, expected.depths)
+        assert result.counters.__dict__ == expected.counters.__dict__
+        assert _stats_without_wall(stats) == _stats_without_wall(
+            expected_stats
+        )
+        for got, want in zip(result.groups, expected.groups):
+            assert got.plan.decisions == want.plan.decisions
+            assert all(d.kernel == "auto" for d in got.plan.decisions)
+
+    @pytest.mark.skipif(
+        not shared_memory_available(),
+        reason="multiprocessing.shared_memory unavailable",
+    )
+    def test_process_workers_match_numpy(self, graph):
+        expected, expected_stats = _run_with_provider(
+            graph, self.SOURCES, "off", 2, "2d"
+        )
+        result, stats = _run_with_provider(
+            graph, self.SOURCES, PROVIDERS[-1], 2, "2d", backend="process"
+        )
+        assert np.array_equal(result.depths, expected.depths)
+        assert result.counters.__dict__ == expected.counters.__dict__
+        payload = _stats_without_wall(stats)
+        assert payload.pop("backend") == "process"
+        want = _stats_without_wall(expected_stats)
+        want.pop("backend")
+        assert payload == want
+
+    def test_native_plan_replays_on_numpy_host(self, graph, group):
+        """A plan recorded with kernel="native" replays on a host
+        without a provider: one fallback warning, identical depths and
+        identical wire bytes."""
+        engine = dist_engine(graph, 2, "2d")
+        first = engine.run_group(group)
+        sent = [
+            (t.fmt, t.update_bytes, t.broadcast_bytes, t.messages)
+            for t in engine.last_stats.levels
+        ]
+        recorded = first.groups[0].plan
+        native_plan = RunPlan(
+            policy=recorded.policy,
+            engine=recorded.engine,
+            group_size=recorded.group_size,
+        )
+        for decision in recorded.decisions:
+            native_plan.append(dataclasses.replace(decision, kernel="native"))
+        with native.force_backend("off"):
+            native.refresh()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                replay = engine.run_group(group, plan=native_plan)
+        native.refresh()
+        fallback = [w for w in caught if "falling back" in str(w.message)]
+        assert len(fallback) == 1
+        assert np.array_equal(replay.depths, first.depths)
+        assert sent == [
+            (t.fmt, t.update_bytes, t.broadcast_bytes, t.messages)
+            for t in engine.last_stats.levels
+        ]
+        assert replay.groups[0].plan.decisions == native_plan.decisions
+
+
+class TestExchangeCodec:
+    @pytest.mark.parametrize(
+        "vertices", [[12, 12], [15, 14], [11, 16, 13]],
+        ids=["duplicate", "descending", "unsorted"],
+    )
+    def test_sparse_rejects_unsorted_or_duplicate_vertices(self, vertices):
+        masks = np.ones(len(vertices), dtype=np.uint64)
+        with pytest.raises(TraversalError, match="strictly increasing"):
+            encode_updates(np.array(vertices), masks, 10, 20, "sparse")
+
+    def test_dense_and_sparse_merge_to_equal_accumulators(self):
+        rng = np.random.default_rng(5)
+        start, stop, acc_start = 10, 50, 4
+        vertices = np.sort(rng.choice(np.arange(start, stop), 12,
+                                      replace=False))
+        masks = rng.integers(1, 2**63, size=12, dtype=np.uint64)
+        base = rng.integers(0, 2**63, size=60, dtype=np.uint64)
+        expected = base.copy()
+        for v, m in zip(vertices, masks):
+            expected[v - acc_start] |= m
+        for fmt in ("dense", "sparse"):
+            acc = base.copy()
+            merge_payload(
+                encode_updates(vertices, masks, start, stop, fmt),
+                acc,
+                acc_start,
+            )
+            assert np.array_equal(acc, expected), fmt
 
 
 class TestExchangeAccounting:

@@ -24,22 +24,12 @@ from repro.kernels import (
     scatter_or,
     scatter_plan,
 )
+from tests.conftest import loadable_native_providers
 
 RNG = np.random.default_rng(11)
 
 
-def _loadable_providers():
-    names = ["python"]
-    for name in ("cext", "numba"):
-        try:
-            native._load_backend(name)
-        except ImportError:
-            continue
-        names.append(name)
-    return names
-
-
-PROVIDERS = _loadable_providers()
+PROVIDERS = loadable_native_providers()
 
 
 @pytest.fixture(params=PROVIDERS)

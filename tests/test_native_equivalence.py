@@ -17,22 +17,12 @@ from repro.core.engine import IBFS, IBFSConfig
 from repro.graph.generators import rmat, uniform_random
 from repro.plan import HeuristicPolicy, make_policy
 from repro.service.cache import PlanCache, graph_cache_id
+from tests.conftest import loadable_native_providers
 
 RNG = np.random.default_rng(23)
 
 
-def _loadable_providers():
-    names = ["python"]
-    for name in ("cext", "numba"):
-        try:
-            native._load_backend(name)
-        except ImportError:
-            continue
-        names.append(name)
-    return names
-
-
-PROVIDERS = _loadable_providers()
+PROVIDERS = loadable_native_providers()
 
 
 @pytest.fixture(scope="module")
