@@ -10,7 +10,11 @@ its simulated time and :class:`~repro.core.result.GroupStats`.
 
 An engine subclass supplies only what differs between status layouts:
 ``_begin`` (the status array set-up), ``_level`` (one synchronized
-level) and ``_depths`` (the ``(N, |V|)`` result matrix).
+level) and ``_depths`` (the ``(N, |V|)`` result matrix).  The
+partitioned engine (:mod:`repro.dist.engine`) runs expand, the frontier
+exchange and apply as its ``_level``, and overrides the two hooks:
+``_resolve`` (the decision a level actually executes) and ``_close``
+(the kernel's launch count and simulated seconds).
 
 :func:`validate_group` is the one check every multi-group driver
 applies to a caller-formed group before running it.
@@ -164,6 +168,7 @@ class GroupTraversal:
                     f"planner decided {decision.num_instances} instances "
                     f"for a group of {group_size}"
                 )
+            decision = self._resolve(run, decision)
             run_plan.append(decision)
             directions = decision.directions
             td_instances = [
@@ -221,10 +226,8 @@ class GroupTraversal:
                 )
             level += 1
 
-        record = run.record
-        record.counters.kernel_launches += 1
+        seconds = self._close(run)
         depths = self._depths(run)
-        seconds = self.device.cost.kernel_time(record.levels)
         observer = run.observer
         stats = GroupStats(
             sources=sources,
@@ -238,7 +241,7 @@ class GroupTraversal:
             bottom_up_inspections=run.bu_inspections.tolist(),
             plan=run_plan,
         )
-        return depths, record, stats
+        return depths, run.record, stats
 
     # ------------------------------------------------------------------
     # The engine's part
@@ -267,3 +270,15 @@ class GroupTraversal:
     def _depths(self, run: GroupRun) -> np.ndarray:
         """The ``(N, |V|)`` int32 depth matrix of a finished traversal."""
         raise NotImplementedError
+
+    def _resolve(
+        self, run: GroupRun, decision: LevelDecision
+    ) -> LevelDecision:
+        """The decision the coming level actually executes and records."""
+        return decision
+
+    def _close(self, run: GroupRun) -> float:
+        """Close the kernel: one launch, priced by the device over the
+        recorded levels; returns its simulated seconds."""
+        run.record.counters.kernel_launches += 1
+        return self.device.cost.kernel_time(run.record.levels)

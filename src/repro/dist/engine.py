@@ -1,10 +1,13 @@
 """Level-synchronous partitioned multi-source BFS.
 
 :class:`PartitionedEngine` traverses graphs that no single worker holds
-whole: the CSR is split by :class:`~repro.dist.partition.GraphPartitioner`,
+whole: the CSR is split by :class:`~repro.dist.partition.GraphPartitioner`;
 every partition keeps the vertex state (one ``uint64`` status word and
-one ``int32`` depth row per owned vertex) for its owner range, and each
-level runs as
+one ``int32`` depth row per owned vertex) for its owner range.  The
+levels run inside the shared loop
+:meth:`repro.core.traversal.GroupTraversal.run_group` (all top-down
+under ``FixedPolicy(direction="td")``, or a recorded plan through
+``RecordedPolicy``), and each level runs as
 
 1. **expand** — every edge block scans its slice of the joint frontier
    and aggregates ``(destination, instance-mask)`` updates;
@@ -30,7 +33,7 @@ replay re-sends exactly the recorded bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,15 +41,20 @@ import numpy as np
 import repro.native as native
 from repro.errors import TraversalError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.counters import ProfilerCounters
-from repro.kernels import per_bit_counts, scatter_or, unpack_lane_bits
+from repro.kernels import (
+    per_bit_counts,
+    per_bit_weighted,
+    scatter_or,
+    unpack_lane_bits,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.core.groupby import GroupByConfig, group_sources, random_groups
-from repro.core.result import ConcurrentResult, GroupStats
-from repro.core.traversal import validate_group
+from repro.core.result import ConcurrentResult
+from repro.core.traversal import GroupRun, GroupTraversal, validate_group
 from repro.exec.faults import FaultLog, FaultPolicy, crash_error
 from repro.util import expand_ranges
+from repro.plan.policy import FixedPolicy
 from repro.plan.types import Direction, LevelDecision, RunPlan
 from repro.dist.comm import CommCostModel
 from repro.dist.exchange import (
@@ -415,6 +423,230 @@ class DistStats:
 
 
 # ----------------------------------------------------------------------
+# The level step inside the shared group loop
+# ----------------------------------------------------------------------
+#: Every partitioned level is top-down; replays go through RecordedPolicy.
+_TOP_DOWN = FixedPolicy(direction="td")
+
+
+class _PartitionedTraversal(GroupTraversal):
+    """One group's levels across the partitions.
+
+    :meth:`~repro.core.traversal.GroupTraversal.run_group` drives the
+    levels; ``_level`` is the distributed step — route the joint
+    frontier to the edge blocks, expand, exchange, apply — and prices
+    it with the engine's :class:`~repro.dist.comm.CommCostModel`.  One
+    instance serves one attempt, so a crash retry starts from fresh
+    state on whatever backend the engine holds then.
+    """
+
+    def __init__(self, engine: "PartitionedEngine", backend, attempt: int):
+        super().__init__(engine.graph, planner=_TOP_DOWN)
+        self.name = engine.name
+        self.engine = engine
+        self.backend = backend
+        self.attempt = attempt
+        #: Communication record of every executed level, in order.
+        self.traces: List[LevelTrace] = []
+
+    # ------------------------------------------------------------------
+    def _begin(self, run: GroupRun) -> None:
+        group_size = len(run.sources)
+        self.backend.init_group(group_size, self.attempt)
+        # Source injection: depth 0, not an exchange (no bytes).  One
+        # sparse payload per owner holding sources, in vertex order.
+        vertices = np.asarray(run.sources, dtype=np.int64)
+        masks = np.uint64(1) << np.arange(group_size, dtype=np.uint64)
+        order = np.argsort(vertices, kind="stable")
+        vertices, masks = vertices[order], masks[order]
+        cuts = np.searchsorted(vertices, self.engine.partitions.own_bounds)
+        inject = [
+            [encode_updates(vertices[a:b], masks[a:b], part.own_start,
+                            part.own_stop, "sparse")] if a < b else []
+            for part, a, b in zip(
+                self.engine.partitions.parts, cuts[:-1], cuts[1:]
+            )
+        ]
+        self._set_frontier(run, self.backend.apply(-1, "auto", inject))
+        run.frontier_counts = np.ones(group_size, dtype=np.int64)
+        run.visited_deg = self._out_degrees[run.sources].astype(np.int64)
+        run.seconds = 0.0
+
+    def _resolve(
+        self, run: GroupRun, decision: LevelDecision
+    ) -> LevelDecision:
+        """Reject bottom-up levels; resolve an ``"auto"`` wire format
+        from the frontier about to expand, so the recorded plan holds
+        the format actually sent."""
+        if Direction.BOTTOM_UP in decision.directions:
+            raise TraversalError(
+                "the partitioned engine runs top-down levels only; the "
+                "plan has a bottom-up decision"
+            )
+        if decision.exchange != "auto":
+            return decision
+        engine = self.engine
+        fmt = engine.exchange_policy.decide(
+            run.frontier_edges, engine._dense_bytes
+        )
+        return replace(decision, exchange=fmt)
+
+    def _level(
+        self,
+        run: GroupRun,
+        td_instances: List[int],
+        bu_instances: List[int],
+        level: int,
+        decision: LevelDecision,
+    ):
+        engine = self.engine
+        pset = engine.partitions
+        fmt, kernel = decision.exchange, decision.kernel
+        fq_total = int(run.frontier_counts.sum())
+        jfq_size = sum(int(v.shape[0]) for v, _ in run.frontier)
+        with obs_tracing.get_tracer().span(
+            "exchange.level", level=level, fmt=fmt
+        ) as span:
+            frontier_slices, broadcast_bytes, broadcast_messages = (
+                self._route(run.frontier)
+            )
+            expanded = self.backend.expand(
+                level, self.attempt, fmt, kernel, frontier_slices
+            )
+            update_bytes = update_messages = entries = 0
+            per_owner: List[List[ExchangePayload]] = [
+                [] for _ in range(pset.num_partitions)
+            ]
+            for payloads, _ in expanded:
+                for owner, payload in payloads:
+                    per_owner[owner].append(payload)
+                    update_bytes += payload.nbytes
+                    update_messages += 1
+                    entries += payload.entries
+            new_slices = list(self.backend.apply(level, kernel, per_owner))
+            edges_scanned = tuple(int(edges) for _, edges in expanded)
+            nbytes = update_bytes + broadcast_bytes
+            messages = update_messages + broadcast_messages
+            cost = engine.cost_model.price_level(
+                edges_scanned, nbytes, messages
+            )
+            trace = LevelTrace(
+                level=level,
+                fmt=fmt,
+                entries=entries,
+                update_bytes=update_bytes,
+                broadcast_bytes=broadcast_bytes,
+                messages=messages,
+                frontier_vertices=jfq_size,
+                frontier_edges=run.frontier_edges,
+                edges_scanned=edges_scanned,
+                compute_seconds=cost.compute_seconds,
+                exchange_seconds=cost.exchange_seconds,
+            )
+            if span is not None:
+                span.annotate(
+                    bytes=nbytes,
+                    messages=messages,
+                    entries=entries,
+                    frontier=jfq_size,
+                    exchange_seconds=trace.exchange_seconds,
+                )
+        self.traces.append(trace)
+        run.seconds += cost.total_seconds
+        # Section 5.1's queue sizes of the frontier this level expanded.
+        run.observer.record_level(fq_total, jfq_size)
+        run.sharing_log["td"].append((fq_total, jfq_size))
+        run.sharing_log["bu"].append((0, 0))
+
+        group_size = len(run.sources)
+        vertices = np.concatenate([v for v, _ in new_slices])
+        masks = np.concatenate([m for _, m in new_slices]).reshape(-1, 1)
+        counts = per_bit_counts(masks, group_size, kernel=kernel)
+        frontier_edges = per_bit_weighted(
+            masks, self._out_degrees[vertices], group_size, kernel=kernel
+        )
+        counters = run.record.counters
+        counters.levels += 1
+        counters.kernel_launches += pset.num_partitions
+        counters.edges_traversed += sum(edges_scanned)
+        counters.frontier_enqueues += int(counts.sum())
+        counters.inspections += entries
+
+        self._set_frontier(run, new_slices)
+        run.frontier_counts = counts
+        run.visited_deg += frontier_edges
+        unexplored = self.graph.num_edges - run.visited_deg
+        return counts > 0, counts, frontier_edges, unexplored
+
+    def _close(self, run: GroupRun) -> float:
+        # One launch per partition per level, counted as each level ran;
+        # the time is the communication model's, not the device's.
+        return run.seconds
+
+    def _depths(self, run: GroupRun) -> np.ndarray:
+        pset = self.engine.partitions
+        blocks = self.backend.collect()
+        # The owner ranges cover [0, n) (check_partition_cover), so
+        # every column is written below.  Row-block copies keep each
+        # block's strided reads cache resident, as the serial engine's
+        # depth materialization does.
+        matrix = np.empty(
+            (len(run.sources), self.graph.num_vertices), dtype=np.int32
+        )
+        for part, block in zip(pset.parts, blocks):
+            for i in range(0, block.shape[0], _COPY_ROWS):
+                rows = block[i : i + _COPY_ROWS]
+                lo = part.own_start + i
+                matrix[:, lo : lo + rows.shape[0]] = rows.T
+        return matrix
+
+    # ------------------------------------------------------------------
+    def _set_frontier(
+        self, run: GroupRun, slices: List[Tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """The owners' newly discovered (vertices, masks) slices become
+        the next level's joint frontier."""
+        run.frontier = slices
+        run.frontier_edges = sum(
+            int(self._out_degrees[v].sum()) for v, _ in slices if v.size
+        )
+
+    def _route(self, frontier: Sequence[Tuple[np.ndarray, np.ndarray]]):
+        """Route the joint frontier to the edge blocks.
+
+        Owner ranges refine row bands, so an owner's new vertices go to
+        the blocks of its own grid row — every sibling block beyond the
+        owner itself is a remote copy (the 2D frontier broadcast).
+        Returns the per-block slices and the broadcast's bytes and
+        messages.
+        """
+        pset = self.engine.partitions
+        remote = pset.cols - 1
+        broadcast_bytes = 0
+        broadcast_messages = 0
+        per_row: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for p, (vertices, masks) in enumerate(frontier):
+            if not vertices.size:
+                continue
+            per_row.setdefault(pset.parts[p].row, []).append(
+                (vertices, masks)
+            )
+            broadcast_bytes += (
+                SPARSE_ENTRY_BYTES * int(vertices.shape[0]) * remote
+            )
+            broadcast_messages += remote
+        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64))
+        slices = []
+        for part in pset.parts:
+            chunks = per_row.get(part.row, [empty])
+            slices.append(
+                chunks[0] if len(chunks) == 1
+                else tuple(np.concatenate(c) for c in zip(*chunks))
+            )
+        return slices, broadcast_bytes, broadcast_messages
+
+
+# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 class PartitionedEngine:
@@ -447,7 +679,6 @@ class PartitionedEngine:
             self.config.exchange, self.config.exchange_threshold
         )
         self._dense_bytes = self.partitions.dense_bytes_per_level()
-        self._out_degrees = graph.out_degrees()
         self._backend = None
         self._closed = False
         #: Stats of the most recent run/run_group call.
@@ -526,9 +757,10 @@ class PartitionedEngine:
     ) -> ConcurrentResult:
         """Execute one pre-formed group across all partitions.
 
-        ``plan`` replays a recorded run: each level's wire format comes
-        from the plan's ``exchange`` fields instead of the policy, so
-        the exchange re-sends exactly the recorded bytes.
+        ``plan`` replays a recorded run through
+        :class:`~repro.plan.policy.RecordedPolicy`: each level's wire
+        format comes from the plan's ``exchange`` fields instead of the
+        policy, so the exchange re-sends exactly the recorded bytes.
         """
         group = validate_group(
             group, self.graph.num_vertices, self.effective_group_size()
@@ -562,9 +794,26 @@ class PartitionedEngine:
         try:
             while True:
                 backend = self._ensure_backend()
+                traversal = _PartitionedTraversal(self, backend, attempt)
                 try:
-                    return self._run_group_once(
-                        backend, group, max_depth, plan, attempt, stats
+                    with obs_tracing.get_tracer().span(
+                        "dist.run_group",
+                        layout=self.config.layout,
+                        partitions=self.partitions.num_partitions,
+                        backend=backend.kind,
+                        group_size=len(group),
+                        attempt=attempt,
+                        replay=plan is not None,
+                    ):
+                        depths, record, gstats = traversal.run_group(
+                            group, max_depth=max_depth, plan=plan
+                        )
+                    stats.levels.extend(traversal.traces)
+                    return ConcurrentResult.from_groups(
+                        self.name,
+                        group,
+                        self.graph.num_vertices,
+                        [(depths, record.counters, gstats)],
                     )
                 except PartitionCrash as crash:
                     stats.crashes += 1
@@ -597,295 +846,6 @@ class PartitionedEngine:
         finally:
             stats.wall_seconds += time.perf_counter() - wall_start
             stats.events.extend(log.events)
-
-    # ------------------------------------------------------------------
-    def _run_group_once(
-        self,
-        backend,
-        group: List[int],
-        max_depth: Optional[int],
-        plan: Optional[RunPlan],
-        attempt: int,
-        stats: DistStats,
-    ) -> ConcurrentResult:
-        pset = self.partitions
-        n = self.graph.num_vertices
-        group_size = len(group)
-        tracer = obs_tracing.get_tracer()
-        recorded = RunPlan(
-            policy=plan.policy if plan is not None else self.exchange_policy.name,
-            engine=self.name,
-            group_size=group_size,
-        )
-        td = (Direction.TOP_DOWN,) * group_size
-
-        with tracer.span(
-            "dist.run_group",
-            layout=self.config.layout,
-            partitions=pset.num_partitions,
-            backend=backend.kind,
-            group_size=group_size,
-            attempt=attempt,
-            replay=plan is not None,
-        ):
-            backend.init_group(group_size, attempt)
-
-            # Source injection: depth 0, not an exchange (no bytes).
-            src_vertices = np.asarray(group, dtype=np.int64)
-            src_masks = np.uint64(1) << np.arange(
-                group_size, dtype=np.uint64
-            )
-            order = np.argsort(src_vertices, kind="stable")
-            inject = self._bucket_by_owner(
-                src_vertices[order], src_masks[order]
-            )
-            new_slices = backend.apply(-1, self._kernel(plan, 0), inject)
-
-            counters = ProfilerCounters()
-            traces: List[LevelTrace] = []
-            jfq_sizes: List[int] = []
-            per_level_sharing: List[float] = []
-            td_sharing: List[Tuple[int, int]] = []
-            seconds = 0.0
-            level = 0
-            while True:
-                frontier_count = sum(
-                    int(v.shape[0]) for v, _ in new_slices
-                )
-                if frontier_count == 0:
-                    break
-                if max_depth is not None and level >= max_depth:
-                    break
-                fmt = self._resolve_format(plan, level, new_slices)
-                kernel = self._kernel(plan, level)
-                with tracer.span(
-                    "exchange.level", level=level, fmt=fmt
-                ) as span:
-                    trace, new_slices = self._run_level(
-                        backend, pset, level, attempt, fmt, kernel,
-                        new_slices,
-                    )
-                    cost = self.cost_model.price_level(
-                        trace.edges_scanned, trace.nbytes, trace.messages
-                    )
-                    trace.compute_seconds = cost.compute_seconds
-                    trace.exchange_seconds = cost.exchange_seconds
-                    if span is not None:
-                        span.annotate(
-                            bytes=trace.nbytes,
-                            messages=trace.messages,
-                            entries=trace.entries,
-                            frontier=trace.frontier_vertices,
-                            exchange_seconds=trace.exchange_seconds,
-                        )
-                seconds += cost.total_seconds
-                traces.append(trace)
-                recorded.append(
-                    LevelDecision(directions=td, exchange=fmt, kernel=kernel)
-                )
-                counters.levels += 1
-                counters.kernel_launches += pset.num_partitions
-                counters.edges_traversed += sum(trace.edges_scanned)
-                new_total = sum(int(v.shape[0]) for v, _ in new_slices)
-                new_bits = self._popcount_slices(
-                    new_slices, group_size, kernel
-                )
-                counters.frontier_enqueues += new_bits
-                counters.inspections += trace.entries
-                jfq_sizes.append(new_total)
-                per_level_sharing.append(
-                    new_bits / new_total if new_total else 0.0
-                )
-                td_sharing.append((new_bits, new_total))
-                level += 1
-
-            blocks = backend.collect()
-            # The owner ranges cover [0, n) (check_partition_cover), so
-            # every column is written below.  Row-block copies keep each
-            # block's strided reads cache resident, as the serial
-            # engine's depth materialization does.
-            matrix = np.empty((group_size, n), dtype=np.int32)
-            for part, block in zip(pset.parts, blocks):
-                for i in range(0, block.shape[0], _COPY_ROWS):
-                    rows = block[i : i + _COPY_ROWS]
-                    lo = part.own_start + i
-                    matrix[:, lo : lo + rows.shape[0]] = rows.T
-
-        stats.levels.extend(traces)
-        shared = [s for s in per_level_sharing if s > 0]
-        sharing_degree = (
-            sum(shared) / len(shared) if shared else 0.0
-        )
-        gstats = GroupStats(
-            sources=group,
-            seconds=seconds,
-            sharing_degree=sharing_degree,
-            sharing_ratio=(
-                sharing_degree / group_size if group_size else 0.0
-            ),
-            jfq_sizes=jfq_sizes,
-            per_level_sharing=per_level_sharing,
-            td_sharing=td_sharing,
-            bu_sharing=[(0, 0) for _ in td_sharing],
-            bottom_up_inspections=[0] * group_size,
-            plan=recorded,
-        )
-        return ConcurrentResult.from_groups(
-            self.name, group, n, [(matrix, counters, gstats)]
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _replayed(
-        plan: Optional[RunPlan], level: int
-    ) -> Optional[LevelDecision]:
-        """The recorded decision ``level`` replays (None when live)."""
-        if plan is None or not plan.decisions:
-            return None
-        return plan.decisions[min(level, len(plan.decisions) - 1)]
-
-    def _kernel(self, plan: Optional[RunPlan], level: int) -> str:
-        """The level's kernel variant: the replayed plan's, else auto."""
-        decision = self._replayed(plan, level)
-        return decision.kernel if decision is not None else "auto"
-
-    def _resolve_format(
-        self,
-        plan: Optional[RunPlan],
-        level: int,
-        new_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
-    ) -> str:
-        decision = self._replayed(plan, level)
-        if decision is not None and decision.exchange != "auto":
-            return decision.exchange
-        frontier_edges = 0
-        for vertices, _ in new_slices:
-            if vertices.size:
-                frontier_edges += int(
-                    self._out_degrees[vertices].sum()
-                )
-        return self.exchange_policy.decide(frontier_edges, self._dense_bytes)
-
-    def _bucket_by_owner(
-        self, vertices: np.ndarray, masks: np.ndarray
-    ) -> List[List[ExchangePayload]]:
-        """Sparse source-injection payloads per owning partition
-        (``vertices`` must be sorted)."""
-        pset = self.partitions
-        out: List[List[ExchangePayload]] = [
-            [] for _ in range(pset.num_partitions)
-        ]
-        cuts = np.searchsorted(vertices, pset.own_bounds)
-        for p in range(pset.num_partitions):
-            a, b = int(cuts[p]), int(cuts[p + 1])
-            if a == b:
-                continue
-            part = pset.parts[p]
-            out[p].append(
-                encode_updates(
-                    vertices[a:b],
-                    masks[a:b],
-                    part.own_start,
-                    part.own_stop,
-                    "sparse",
-                )
-            )
-        return out
-
-    def _run_level(
-        self,
-        backend,
-        pset: PartitionSet,
-        level: int,
-        attempt: int,
-        fmt: str,
-        kernel: str,
-        new_slices: Sequence[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[LevelTrace, List[Tuple[np.ndarray, np.ndarray]]]:
-        """Expand + exchange + apply for one level."""
-        # Route the joint frontier to the edge blocks.  Owner ranges
-        # refine row bands, so an owner's new vertices go to the blocks
-        # of its own grid row — every sibling block beyond the owner
-        # itself is a remote copy (the 2D frontier broadcast).
-        frontier_vertices = 0
-        frontier_edges = 0
-        broadcast_bytes = 0
-        broadcast_messages = 0
-        per_row: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        for p, (vertices, masks) in enumerate(new_slices):
-            if not vertices.size:
-                continue
-            count = int(vertices.shape[0])
-            frontier_vertices += count
-            frontier_edges += int(self._out_degrees[vertices].sum())
-            grid_row = pset.parts[p].row
-            per_row.setdefault(grid_row, []).append((vertices, masks))
-            remote = pset.cols - 1
-            broadcast_bytes += SPARSE_ENTRY_BYTES * count * remote
-            broadcast_messages += remote
-        frontier_slices: List[Tuple[np.ndarray, np.ndarray]] = []
-        for part in pset.parts:
-            chunks = per_row.get(part.row)
-            if not chunks:
-                frontier_slices.append(
-                    (
-                        np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=np.uint64),
-                    )
-                )
-            elif len(chunks) == 1:
-                frontier_slices.append(chunks[0])
-            else:
-                frontier_slices.append(
-                    (
-                        np.concatenate([c[0] for c in chunks]),
-                        np.concatenate([c[1] for c in chunks]),
-                    )
-                )
-
-        expanded = backend.expand(
-            level, attempt, fmt, kernel, frontier_slices
-        )
-
-        update_bytes = 0
-        update_messages = 0
-        entries = 0
-        edges_scanned: List[int] = []
-        per_owner: List[List[ExchangePayload]] = [
-            [] for _ in range(pset.num_partitions)
-        ]
-        for payloads, edges in expanded:
-            edges_scanned.append(int(edges))
-            for owner, payload in payloads:
-                per_owner[owner].append(payload)
-                update_bytes += payload.nbytes
-                update_messages += 1
-                entries += payload.entries
-
-        new_slices = backend.apply(level, kernel, per_owner)
-        trace = LevelTrace(
-            level=level,
-            fmt=fmt,
-            entries=entries,
-            update_bytes=update_bytes,
-            broadcast_bytes=broadcast_bytes,
-            messages=update_messages + broadcast_messages,
-            frontier_vertices=frontier_vertices,
-            frontier_edges=frontier_edges,
-            edges_scanned=tuple(edges_scanned),
-            compute_seconds=0.0,
-            exchange_seconds=0.0,
-        )
-        return trace, list(new_slices)
-
-    @staticmethod
-    def _popcount_slices(
-        slices: Sequence[Tuple[np.ndarray, np.ndarray]],
-        group_size: int,
-        kernel: str,
-    ) -> int:
-        masks = np.concatenate([m for _, m in slices])
-        return int(per_bit_counts(masks, group_size, kernel=kernel).sum())
 
     # ------------------------------------------------------------------
     def run(

@@ -157,9 +157,3 @@ class ExchangePolicy:
         if sparse_estimate <= self.threshold * dense_bytes:
             return "sparse"
         return "dense"
-
-    @property
-    def name(self) -> str:
-        if self.default != "auto":
-            return f"exchange-{self.default}"
-        return f"exchange-auto@{self.threshold:g}"

@@ -17,7 +17,9 @@ from repro.errors import SimulationError, TraversalError
 from repro.graph.generators import kronecker
 from repro.core.engine import IBFS, IBFSConfig
 from repro.obs.metrics import MetricsHub
-from repro.plan.types import LevelDecision, RunPlan
+from repro.graph.csr import CSRGraph
+from repro.plan.policy import FixedPolicy
+from repro.plan.types import Direction, LevelDecision, RunPlan
 from repro.dist.comm import ClusterCommModel, CommCostModel
 from repro.dist.engine import DistConfig, DistStats, PartitionedEngine
 from repro.dist.exchange import (
@@ -88,6 +90,27 @@ class TestEquivalence:
         result = dist_engine(graph, 2).run_group(group, max_depth=max_depth)
         assert np.array_equal(result.depths, expected.depths)
 
+    @pytest.mark.parametrize("layout", ["1d", "2d"])
+    @pytest.mark.parametrize("num_partitions", [1, 4])
+    def test_sharing_statistics_match_serial_top_down(
+        self, graph, group, layout, num_partitions
+    ):
+        """Section 5.1's SD is total per-instance frontier over total
+        joint frontier, from the source level on — the same figures as
+        a serial all-top-down run of the group."""
+        expected = IBFS(
+            graph,
+            IBFSConfig(group_size=GROUP_SIZE),
+            planner=FixedPolicy(direction="td"),
+        ).run_group(group).groups[0]
+        got = dist_engine(graph, num_partitions, layout).run_group(
+            group
+        ).groups[0]
+        assert got.sharing_degree == expected.sharing_degree
+        assert got.jfq_sizes == expected.jfq_sizes
+        assert got.per_level_sharing == expected.per_level_sharing
+        assert got.td_sharing == expected.td_sharing
+
     # The plain full-run-matches-serial loop lives in the shared
     # substrate matrix (tests/test_runtime_substrates.py) now, across
     # every registered substrate × planner × mutation.
@@ -102,7 +125,51 @@ class TestEquivalence:
         assert np.array_equal(result.depths, expected.depths)
 
 
+def _empty_plan(engine, group):
+    return RunPlan(policy="fixed", engine=engine.name,
+                   group_size=len(group))
+
+
+def _wrong_size_plan(engine, group):
+    plan = RunPlan(policy="fixed", engine=engine.name,
+                   group_size=len(group) - 1)
+    plan.append(LevelDecision(
+        directions=(Direction.TOP_DOWN,) * (len(group) - 1),
+        exchange="sparse",
+    ))
+    return plan
+
+
+def _bottom_up_plan(engine, group):
+    plan = RunPlan(policy="fixed", engine=engine.name,
+                   group_size=len(group))
+    directions = (Direction.TOP_DOWN,) * (len(group) - 1)
+    plan.append(LevelDecision(
+        directions=directions + (Direction.BOTTOM_UP,), exchange="sparse",
+    ))
+    return plan
+
+
 class TestReplay:
+    @pytest.mark.parametrize(
+        "make_plan", [_empty_plan, _wrong_size_plan, _bottom_up_plan],
+        ids=["empty", "wrong-group-size", "bottom-up"],
+    )
+    def test_rejects_plans_it_cannot_replay(
+        self, graph, group, monkeypatch, make_plan
+    ):
+        """Replay is checked as on every other engine, and a bottom-up
+        plan is refused before any reverse graph is built."""
+        engine = dist_engine(graph, 2)
+        plan = make_plan(engine, group)
+
+        def no_reverse(self):
+            raise AssertionError("graph.reverse() built for a replay")
+
+        monkeypatch.setattr(CSRGraph, "reverse", no_reverse)
+        with pytest.raises(TraversalError):
+            engine.run_group(group, plan=plan)
+
     def test_recorded_plan_is_resolved(self, graph, group):
         engine = dist_engine(graph, 2)
         result = engine.run_group(group)

@@ -10,6 +10,8 @@ The acceptance bar from the issue, pinned as tests:
 * critical-path step seconds telescope to exactly the root duration.
 """
 
+import re
+
 import pytest
 
 from repro import IBFSConfig
@@ -371,6 +373,25 @@ def test_partitioned_waves_carry_exchange_levels(kron_graph):
     ]
     rows = [r for w in wave_nodes for r in level_waterfall(w)]
     assert any(r.source == "exchange" for r in rows)
+
+
+def test_trace_report_prints_partitioned_exchange_bytes(kron_graph):
+    """Each partitioned level line carries the integer byte count its
+    ``exchange.level`` span annotated, in waterfall order."""
+    records = _trace_partitioned(kron_graph)
+    report = render_trace_report(records, max_waves=4, max_levels=12)
+    nodes = {
+        n.span_id: n for root in build_forest(records) for n in root.walk()
+    }
+    expected = []
+    for wave in analyze_waves(records)[:4]:
+        rows = level_waterfall(nodes[wave.span_id])[:12]
+        expected += [
+            r.attrs["bytes"] for r in rows if r.source == "exchange"
+        ]
+    printed = re.findall(r" fmt=\S+ bytes=(\S+)$", report, re.MULTILINE)
+    assert expected and all(isinstance(b, int) for b in expected)
+    assert printed == [str(b) for b in expected]
 
 
 def test_render_trace_report_byte_identical_across_runs(kron_graph):
