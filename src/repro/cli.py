@@ -468,51 +468,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     slo_engine = _make_slo_engine(args)
     planner = make_policy(args.policy) if args.policy else None
-    if args.churn > 0 or spec.kind == "stream":
+    churn = args.churn > 0 or spec.kind == "stream"
+    if churn:
         from repro.stream import DynamicBFSServer, run_churn_loop
-
-        server = DynamicBFSServer(
+    server = None
+    try:
+        server = (DynamicBFSServer if churn else BFSServer)(
             graph, serving, planner=planner, slo=slo_engine,
             substrate=spec,
         )
-        try:
+        if churn:
             result, _ = run_churn_loop(
                 server, _workload_config(args), _churn_config(args)
             )
-            exec_stats = (
-                server.substrate.executor.last_stats
-                if server.substrate.executor is not None else None
-            )
-        finally:
-            server.close()
-        _print_load_result(
-            f"served {args.requests} {args.kind} requests with churn "
-            f"(mutation every {args.churn} completions: "
-            f"+{args.churn_inserts}/-{args.churn_deletes} edges)",
-            result,
-        )
-        _print_epoch_summary(result.metrics)
-        if exec_stats is not None:
-            print(f"  exec backend      : {exec_stats.backend} "
-                  f"({exec_stats.num_workers} workers, "
-                  f"{exec_stats.scheduler})")
-        _print_slo_summary(slo_engine)
-        if args.metrics_json:
-            import json
-
-            with open(args.metrics_json, "w") as fh:
-                json.dump(result.metrics, fh, indent=2)
-            print(f"  metrics json      : {args.metrics_json}")
-        _maybe_write_trace(args, tracer)
-        return 0
-    server = None
-    exec_stats = None
-    try:
-        server = BFSServer(
-            graph, serving, planner=planner, slo=slo_engine,
-            substrate=spec,
-        )
-        result = run_closed_loop(server, _workload_config(args))
+        else:
+            result = run_closed_loop(server, _workload_config(args))
         exec_stats = (
             server.substrate.executor.last_stats
             if server.substrate.executor is not None else None
@@ -520,11 +490,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             server.close()
-    _print_load_result(
-        f"served {args.requests} {args.kind} requests "
-        f"({args.clients} closed-loop clients, zipf {args.zipf})",
-        result,
-    )
+    if churn:
+        _print_load_result(
+            f"served {args.requests} {args.kind} requests with churn "
+            f"(mutation every {args.churn} completions: "
+            f"+{args.churn_inserts}/-{args.churn_deletes} edges)",
+            result,
+        )
+        _print_epoch_summary(result.metrics)
+    else:
+        _print_load_result(
+            f"served {args.requests} {args.kind} requests "
+            f"({args.clients} closed-loop clients, zipf {args.zipf})",
+            result,
+        )
     if exec_stats is not None:
         print(f"  exec backend      : {exec_stats.backend} "
               f"({exec_stats.num_workers} workers, {exec_stats.scheduler})")

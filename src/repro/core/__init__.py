@@ -14,7 +14,7 @@ This package is the paper's primary contribution:
 """
 
 from repro.core.result import ConcurrentResult, GroupStats
-from repro.core.status_array import BitwiseStatusArray, lanes_for
+from repro.core.status_array import lanes_for
 from repro.core.sharing import (
     SharingObserver,
     sharing_degree,
@@ -27,16 +27,9 @@ from repro.core.groupby import (
     random_groups,
     auto_tune_q,
 )
-from repro.core.frontier import (
-    FrontierBallots,
-    generate_jfq,
-    frontier_bits_top_down,
-    frontier_bits_bottom_up,
-)
 from repro.core.joint import JointTraversal
 from repro.core.bitwise import BitwiseTraversal
 from repro.core.engine import IBFS, IBFSConfig
-from repro.core.distributed import DistributedIBFS, DistributedResult
 from repro.core.theory import (
     Lemma1Report,
     verify_lemma1,
@@ -47,7 +40,6 @@ from repro.core.theory import (
 __all__ = [
     "ConcurrentResult",
     "GroupStats",
-    "BitwiseStatusArray",
     "lanes_for",
     "SharingObserver",
     "sharing_degree",
@@ -57,16 +49,10 @@ __all__ = [
     "group_sources",
     "random_groups",
     "auto_tune_q",
-    "FrontierBallots",
-    "generate_jfq",
-    "frontier_bits_top_down",
-    "frontier_bits_bottom_up",
     "JointTraversal",
     "BitwiseTraversal",
     "IBFS",
     "IBFSConfig",
-    "DistributedIBFS",
-    "DistributedResult",
     "Lemma1Report",
     "verify_lemma1",
     "early_sharing_rank",

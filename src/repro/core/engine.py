@@ -4,8 +4,10 @@
 them: sources are partitioned into groups of at most ``N`` (bounded by
 the device-memory capacity rule of section 3), each group runs as one
 joint kernel (JSA- or BSA-based), and groups execute serially on one
-device (:class:`~repro.core.distributed.DistributedIBFS` schedules them
-across a simulated cluster).
+device.  Multi-GPU runs schedule the independent groups' simulated
+times on a :class:`~repro.gpusim.cluster.Cluster`
+(``Cluster(k).run(result.group_times())``, section 8.3); graph-partitioned
+runs go through :class:`~repro.dist.engine.PartitionedEngine`.
 """
 
 from __future__ import annotations

@@ -1,28 +1,22 @@
-"""Joint and bitwise status arrays (sections 4 and 6).
+"""Lane layout of the Bitwise Status Array (section 6).
 
-The Joint Status Array (JSA) stores one status byte per (vertex,
-instance) pair with the instances of a vertex contiguous, so inspecting
-a vertex for N instances touches ``N`` contiguous bytes.  The Bitwise
-Status Array (BSA) packs the same information into one *bit* per
-instance: "all bits of one vertex are kept in a single variable.  If
-this vertex is visited, we set it as 1, otherwise 0".
-
+The Bitwise Status Array (BSA) packs the visited status of a group into
+one *bit* per instance: "all bits of one vertex are kept in a single
+variable.  If this vertex is visited, we set it as 1, otherwise 0".
 Groups wider than 64 instances use multiple uint64 lanes per vertex
-(the CUDA code's ``long4``-style vector types); all bit operations here
-are lane-wise numpy ops, which is exactly the data-parallel semantics
-of the GPU kernels.
+(the CUDA code's ``long4``-style vector types).  The engines keep the
+BSA itself as a ``(num_vertices, lanes)`` uint64 array
+(:mod:`repro.core.bitwise`); the helpers here size the lanes and build
+the per-instance bit masks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import TraversalError
-
-ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def lanes_for(group_size: int) -> int:
@@ -51,74 +45,3 @@ def combine_masks(masks: np.ndarray, instances) -> np.ndarray:
     if instances.size == 0:
         return np.zeros(masks.shape[1], dtype=np.uint64)
     return np.bitwise_or.reduce(masks[instances], axis=0)
-
-
-def full_mask(group_size: int) -> np.ndarray:
-    """Lane vector with the low ``group_size`` bits set (the 0xff...f
-    early-termination comparand of Algorithm 1)."""
-    lanes = lanes_for(group_size)
-    mask = np.zeros(lanes, dtype=np.uint64)
-    full, rem = divmod(group_size, 64)
-    mask[:full] = ALL_ONES
-    if rem:
-        mask[full] = (np.uint64(1) << np.uint64(rem)) - np.uint64(1)
-    return mask
-
-
-class BitwiseStatusArray:
-    """BSA for one group: shape ``(num_vertices, lanes)`` of uint64.
-
-    Bit ``j`` of vertex ``v`` is 1 iff instance ``j`` has visited ``v``.
-    Bits are monotone (never cleared), which is what enables both the
-    XOR-based frontier identification and bottom-up early termination
-    that MS-BFS's per-level reset forfeits.
-    """
-
-    __slots__ = ("words", "group_size", "lanes")
-
-    def __init__(self, num_vertices: int, group_size: int) -> None:
-        self.group_size = group_size
-        self.lanes = lanes_for(group_size)
-        self.words = np.zeros((num_vertices, self.lanes), dtype=np.uint64)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def bytes_per_vertex(self) -> int:
-        """Storage per vertex; the bitwise engine's 8x footprint win over
-        the byte-wide JSA comes from comparing this to ``group_size``."""
-        return self.lanes * 8
-
-    def set_bit(self, vertex: int, instance: int) -> None:
-        """Mark ``vertex`` visited for ``instance``."""
-        if not 0 <= instance < self.group_size:
-            raise TraversalError(
-                f"instance {instance} out of range [0, {self.group_size})"
-            )
-        lane, bit = divmod(instance, 64)
-        self.words[vertex, lane] |= np.uint64(1) << np.uint64(bit)
-
-    def test_bit(self, vertex: int, instance: int) -> bool:
-        """True when ``vertex`` is visited for ``instance``."""
-        lane, bit = divmod(instance, 64)
-        word = self.words[vertex, lane]
-        return bool((word >> np.uint64(bit)) & np.uint64(1))
-
-    def visited_matrix(self) -> np.ndarray:
-        """Boolean ``(group_size, num_vertices)`` expansion (tests only)."""
-        out = np.zeros((self.group_size, self.num_vertices), dtype=bool)
-        for j in range(self.group_size):
-            lane, bit = divmod(j, 64)
-            out[j] = (self.words[:, lane] >> np.uint64(bit)) & np.uint64(1) != 0
-        return out
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the raw words (the BSA_k kept at each level)."""
-        return self.words.copy()
-
-    def is_full(self, comparand: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-vertex truth of ``BSA[v] == 0xff...f`` (early termination)."""
-        mask = full_mask(self.group_size) if comparand is None else comparand
-        return np.all(self.words == mask, axis=1)

@@ -20,7 +20,6 @@ No wall-clock time enters any simulated measurement.
 from repro.gpusim.config import DeviceConfig, KEPLER_K40, KEPLER_K20, XEON_CPU
 from repro.gpusim.counters import ProfilerCounters, LevelRecord
 from repro.gpusim.memory import MemoryModel
-from repro.gpusim.warp import warp_any, warp_ballot, popcount
 from repro.gpusim.timing import CostModel
 from repro.gpusim.device import Device
 from repro.gpusim.cluster import Cluster, schedule_lpt, schedule_round_robin
@@ -42,9 +41,6 @@ __all__ = [
     "ProfilerCounters",
     "LevelRecord",
     "MemoryModel",
-    "warp_any",
-    "warp_ballot",
-    "popcount",
     "CostModel",
     "Device",
     "Cluster",

@@ -63,10 +63,6 @@ class Device:
             )
         return requested
 
-    def fits(self, graph: CSRGraph) -> bool:
-        """True when the graph's CSR arrays fit in device memory at all."""
-        return graph.memory_bytes() < self.config.global_memory_bytes
-
     # ------------------------------------------------------------------
     # Thread accounting helpers
     # ------------------------------------------------------------------

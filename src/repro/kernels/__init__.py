@@ -24,7 +24,6 @@ equivalence suite and ``benchmarks/bench_kernel_walltime.py`` pin them.
 
 from repro.kernels.bookkeeping import (
     instance_frontier_stats,
-    new_frontier_stats,
     per_bit_counts,
     per_bit_weighted,
     unpack_lane_bits,
@@ -44,7 +43,6 @@ __all__ = [
     "bucketed_hit_scan",
     "bucketed_or_scan",
     "instance_frontier_stats",
-    "new_frontier_stats",
     "per_bit_counts",
     "per_bit_weighted",
     "round_major_probes",

@@ -117,36 +117,6 @@ def per_bit_weighted(
     return out[:group_size].astype(np.int64)
 
 
-def new_frontier_stats(
-    depths: np.ndarray,
-    level: int,
-    out_degrees: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-instance new-frontier count and out-degree sum, sparsely.
-
-    Scans the ``(group_size, n)`` depth matrix once for vertices first
-    reached at ``level + 1`` and tallies them per instance.  Engines
-    that track visited-edge totals incrementally (each vertex enters the
-    frontier exactly once) pair this with a running sum instead of the
-    dense re-scan in :func:`instance_frontier_stats`.
-
-    Float64 bincount weights are exact here: degree sums are bounded by
-    the edge count, far below 2**53.
-    """
-    group_size = depths.shape[0]
-    rows, cols = np.nonzero(depths == np.int32(level + 1))
-    counts = np.bincount(rows, minlength=group_size).astype(np.int64)
-    if rows.size:
-        frontier_edges = np.bincount(
-            rows,
-            weights=np.asarray(out_degrees)[cols].astype(np.float64),
-            minlength=group_size,
-        ).astype(np.int64)
-    else:
-        frontier_edges = np.zeros(group_size, dtype=np.int64)
-    return counts, frontier_edges
-
-
 def instance_frontier_stats(
     depths: np.ndarray,
     level: int,

@@ -57,7 +57,6 @@ _CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("exec.", "dispatch"),
     ("exchange.", "exchange"),
     ("dist.", "exchange"),
-    ("distributed.", "exchange"),
     ("profile.kernels.", "kernel"),
     ("profile.level", "level"),
     ("profile.engine.", "engine"),

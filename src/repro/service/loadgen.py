@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -110,6 +110,20 @@ def run_closed_loop(server: BFSServer, workload: WorkloadConfig) -> LoadResult:
     events, so batch formation sees exactly the concurrency a real
     deployment would.
     """
+    return _closed_loop(server, workload)
+
+
+def _closed_loop(
+    server: BFSServer,
+    workload: WorkloadConfig,
+    after_batch: Optional[Callable[[List[Response]], None]] = None,
+) -> LoadResult:
+    """The issue/collect loop behind :func:`run_closed_loop` and
+    :func:`repro.stream.loadgen.run_churn_loop`.
+
+    ``after_batch`` runs after every batch of collected responses (empty
+    batches included); the churn driver fires its mutations from it.
+    """
     sources = sample_sources(
         server.graph,
         workload.num_requests,
@@ -127,8 +141,8 @@ def run_closed_loop(server: BFSServer, workload: WorkloadConfig) -> LoadResult:
     shed = 0
     start_clock = server.clock
 
-    def collect() -> None:
-        for response in server.take_completed():
+    def absorb(done: List[Response]) -> None:
+        for response in done:
             responses.append(response)
             client = owners.pop(response.request_id)
             if issued < workload.num_requests or owners or issue_events:
@@ -140,6 +154,11 @@ def run_closed_loop(server: BFSServer, workload: WorkloadConfig) -> LoadResult:
                         client,
                     ),
                 )
+        if after_batch is not None:
+            after_batch(done)
+
+    def collect() -> None:
+        absorb(server.take_completed())
 
     while issued < workload.num_requests or owners:
         if issue_events and issued < workload.num_requests:
@@ -166,14 +185,16 @@ def run_closed_loop(server: BFSServer, workload: WorkloadConfig) -> LoadResult:
             collect()
         elif owners:
             # All clients are waiting: let the server reach its next
-            # flush (deadline or freed device).
+            # flush (deadline or freed device).  A mutation barrier in
+            # ``after_batch`` may have flushed responses already, so
+            # drain()'s returns go through the same bookkeeping.
             if not server.step():
-                server.drain()
+                absorb(server.drain())
             collect()
         else:
             break
 
-    server.drain()
+    absorb(server.drain())
     collect()
 
     elapsed = server.clock - start_clock

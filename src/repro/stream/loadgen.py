@@ -12,17 +12,15 @@ the request stream, not by wall-clock.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import QueueFullError, ServiceError
+from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph, VERTEX_DTYPE
-from repro.service.loadgen import LoadResult, WorkloadConfig, sample_sources
-from repro.service.request import Request, Response
+from repro.service.loadgen import LoadResult, WorkloadConfig, _closed_loop
+from repro.service.request import Response
 from repro.stream.service import DynamicBFSServer, EpochRecord
 
 
@@ -72,11 +70,11 @@ def random_delete_batch(
         empty = np.empty(0, dtype=VERTEX_DTYPE)
         return empty, empty
     picks = rng.choice(m, size=min(count, m), replace=False)
-    src_all = np.repeat(
-        np.arange(graph.num_vertices, dtype=VERTEX_DTYPE),
-        graph.out_degrees(),
-    )
-    return src_all[picks], graph.col_indices[picks]
+    # Edge ``e`` belongs to the row whose offset range holds it; empty
+    # rows share their offset with the next row, so side="right" skips
+    # them.
+    src = np.searchsorted(graph.row_offsets, picks, side="right") - 1
+    return src.astype(VERTEX_DTYPE), graph.col_indices[picks]
 
 
 def run_churn_loop(
@@ -86,120 +84,32 @@ def run_churn_loop(
 ) -> Tuple[LoadResult, List[EpochRecord]]:
     """Drive a dynamic server with closed-loop clients plus churn.
 
-    Mirrors :func:`repro.service.loadgen.run_closed_loop`, firing one
-    mutation batch through :meth:`DynamicBFSServer.mutate` after every
-    ``churn.mutate_every`` completions.  Returns the usual
+    Runs the loop of :func:`repro.service.loadgen.run_closed_loop`,
+    firing one mutation batch through :meth:`DynamicBFSServer.mutate`
+    after every ``churn.mutate_every`` completions.  Returns the usual
     :class:`LoadResult` plus the epoch records the churn produced.
     """
-    sources = sample_sources(
-        server.graph,
-        workload.num_requests,
-        workload.zipf_exponent,
-        workload.seed,
-    )
     rng = np.random.default_rng(churn.seed)
     n = server.graph.num_vertices
-
-    tiebreak = itertools.count()
-    issue_events: List[tuple] = []
-    for client in range(min(workload.num_clients, workload.num_requests)):
-        heapq.heappush(issue_events, (0.0, next(tiebreak), client))
-
-    owners: Dict[int, int] = {}
-    responses: List[Response] = []
     records: List[EpochRecord] = []
-    issued = 0
-    shed = 0
-    completions_since_mutation = 0
-    start_clock = server.clock
+    since_mutation = 0
 
-    def maybe_mutate() -> None:
-        nonlocal completions_since_mutation
-        if churn.mutate_every == 0:
+    def mutate_step(done: List[Response]) -> None:
+        nonlocal since_mutation
+        since_mutation += len(done)
+        if churn.mutate_every == 0 or since_mutation < churn.mutate_every:
             return
-        if completions_since_mutation < churn.mutate_every:
-            return
-        completions_since_mutation = 0
+        since_mutation = 0
         inserts = (
             random_insert_batch(n, churn.inserts_per_batch, rng)
             if churn.inserts_per_batch
             else None
         )
         deletes = (
-            random_delete_batch(
-                server.graph, churn.deletes_per_batch, rng
-            )
+            random_delete_batch(server.graph, churn.deletes_per_batch, rng)
             if churn.deletes_per_batch
             else None
         )
         records.append(server.mutate(inserts=inserts, deletes=deletes))
 
-    def absorb(done: List[Response]) -> None:
-        nonlocal completions_since_mutation
-        for response in done:
-            responses.append(response)
-            completions_since_mutation += 1
-            client = owners.pop(response.request_id)
-            if issued < workload.num_requests or owners or issue_events:
-                heapq.heappush(
-                    issue_events,
-                    (
-                        response.completion_time + workload.think_time,
-                        next(tiebreak),
-                        client,
-                    ),
-                )
-        maybe_mutate()
-
-    def collect() -> None:
-        absorb(server.take_completed())
-
-    while issued < workload.num_requests or owners:
-        if issue_events and issued < workload.num_requests:
-            at, _, client = heapq.heappop(issue_events)
-            at = max(at, server.clock)
-            request = Request(
-                source=sources[issued],
-                kind=workload.kind,
-                max_depth=workload.max_depth,
-            )
-            try:
-                request_id = server.submit(request, arrival_time=at)
-            except QueueFullError:
-                shed += 1
-                issued += 1
-                heapq.heappush(
-                    issue_events,
-                    (at + workload.shed_backoff, next(tiebreak), client),
-                )
-                collect()
-                continue
-            owners[request_id] = client
-            issued += 1
-            collect()
-        elif owners:
-            # A mutation barrier inside absorb() may have flushed
-            # responses already; drain()'s returns go through the same
-            # bookkeeping so none are dropped on the floor.
-            if not server.step():
-                absorb(server.drain())
-            collect()
-        else:
-            break
-
-    absorb(server.drain())
-    collect()
-
-    elapsed = server.clock - start_clock
-    completed = sum(1 for r in responses if r.ok)
-    errored = sum(1 for r in responses if not r.ok)
-    result = LoadResult(
-        completed=completed,
-        shed=shed,
-        errored=errored,
-        elapsed=elapsed,
-        throughput=completed / elapsed if elapsed > 0 else 0.0,
-        metrics=server.metrics_snapshot(elapsed=elapsed),
-        responses=responses,
-    )
-    return result, records
+    return _closed_loop(server, workload, after_batch=mutate_step), records

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ExecutorError, TraversalError
 from repro.graph.generators import kronecker
 from repro.gpusim.cluster import Cluster
-from repro.core.distributed import DistributedIBFS
 from repro.core.engine import IBFS, IBFSConfig
 from repro.exec import (
     ExecConfig,
@@ -209,27 +208,3 @@ class TestLifecycle:
         assert published_refcount(graph) == 1
         executor.close()
         assert published_refcount(graph) == 0
-
-
-@needs_shm
-class TestDistributedProcessBackend:
-    def test_process_backend_matches_sim(self, graph):
-        sources = SOURCES[:32]
-        sim = DistributedIBFS(graph, num_devices=2, config=CONFIG)
-        expected = sim.run(sources, store_depths=True)
-        with DistributedIBFS(
-            graph, num_devices=2, config=CONFIG, backend="process"
-        ) as dist:
-            result = dist.run(sources, store_depths=True)
-        assert result.backend == "process"
-        assert result.wall_seconds > 0
-        assert result.exec_stats is not None
-        assert result.makespan == expected.makespan
-        assert np.array_equal(result.assignment, expected.assignment)
-        assert_identical(result.local, expected.local)
-
-    def test_unknown_backend_rejected(self, graph):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError, match="unknown backend"):
-            DistributedIBFS(graph, num_devices=2, backend="threads")

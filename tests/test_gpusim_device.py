@@ -23,15 +23,6 @@ def test_default_device_is_k40(device):
     assert "K40" in repr(device)
 
 
-def test_graph_fits(device, graph):
-    assert device.fits(graph)
-
-
-def test_huge_graph_does_not_fit(graph):
-    tiny = Device(KEPLER_K40.with_memory(16))
-    assert not tiny.fits(graph)
-
-
 class TestMaxGroupSize:
     def test_large_memory_allows_many_instances(self, device, graph):
         assert device.max_group_size(graph) > 1024

@@ -1,13 +1,10 @@
-"""Bitwise status array: lane math, bit ops, masks."""
+"""Bitwise status array lane layout: lane counts and instance masks."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TraversalError
 from repro.core.status_array import (
-    ALL_ONES,
-    BitwiseStatusArray,
-    full_mask,
     instance_masks,
     lanes_for,
 )
@@ -37,58 +34,3 @@ class TestMasks:
         assert masks[63, 0] == np.uint64(1) << np.uint64(63)
         assert masks[64, 0] == 0
         assert masks[64, 1] == 1
-
-    def test_full_mask_exact_64(self):
-        assert full_mask(64).tolist() == [ALL_ONES]
-
-    def test_full_mask_partial(self):
-        assert full_mask(3).tolist() == [0b111]
-
-    def test_full_mask_multi_lane(self):
-        mask = full_mask(66)
-        assert mask[0] == ALL_ONES
-        assert mask[1] == 0b11
-
-
-class TestBitwiseStatusArray:
-    def test_set_and_test(self):
-        bsa = BitwiseStatusArray(num_vertices=5, group_size=10)
-        assert not bsa.test_bit(2, 7)
-        bsa.set_bit(2, 7)
-        assert bsa.test_bit(2, 7)
-        assert not bsa.test_bit(2, 6)
-        assert not bsa.test_bit(3, 7)
-
-    def test_multi_lane_bits(self):
-        bsa = BitwiseStatusArray(num_vertices=3, group_size=100)
-        bsa.set_bit(1, 99)
-        assert bsa.test_bit(1, 99)
-        assert bsa.words[1, 1] == np.uint64(1) << np.uint64(99 - 64)
-
-    def test_instance_out_of_range(self):
-        bsa = BitwiseStatusArray(2, 4)
-        with pytest.raises(TraversalError):
-            bsa.set_bit(0, 4)
-
-    def test_visited_matrix(self):
-        bsa = BitwiseStatusArray(3, 2)
-        bsa.set_bit(0, 0)
-        bsa.set_bit(2, 1)
-        matrix = bsa.visited_matrix()
-        assert matrix.tolist() == [[True, False, False], [False, False, True]]
-
-    def test_bytes_per_vertex(self):
-        assert BitwiseStatusArray(1, 64).bytes_per_vertex == 8
-        assert BitwiseStatusArray(1, 65).bytes_per_vertex == 16
-
-    def test_is_full(self):
-        bsa = BitwiseStatusArray(2, 2)
-        bsa.set_bit(0, 0)
-        bsa.set_bit(0, 1)
-        assert bsa.is_full().tolist() == [True, False]
-
-    def test_snapshot_is_independent(self):
-        bsa = BitwiseStatusArray(2, 2)
-        snap = bsa.snapshot()
-        bsa.set_bit(0, 0)
-        assert snap[0, 0] == 0

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from repro.errors import ServiceError
+from repro.graph.csr import CSRGraph, VERTEX_DTYPE
 from repro.graph.generators import kronecker
-from repro.service import BFSServer, ServingConfig, WorkloadConfig
+from repro.service import (
+    BFSServer,
+    ServingConfig,
+    WorkloadConfig,
+    run_closed_loop,
+)
 from repro.service.request import Request
 from repro.stream import ChurnConfig, DynamicBFSServer, run_churn_loop
+from repro.stream.loadgen import random_delete_batch
 from repro.stream.repair import RECOMPUTE, REPAIR
 
 
@@ -225,3 +232,70 @@ class TestChurnLoop:
             ChurnConfig(mutate_every=-1)
         with pytest.raises(ServiceError):
             ChurnConfig(inserts_per_batch=0, deletes_per_batch=0)
+
+    def test_churn_loop_without_mutations_matches_closed_loop(self):
+        # mutate_every beyond the request count: no mutation fires, so
+        # the churn driver must reduce to the static closed loop.
+        workload = WorkloadConfig(num_requests=80, num_clients=6, seed=4)
+        churn = ChurnConfig(mutate_every=81, inserts_per_batch=4)
+
+        def drive(run):
+            server = DynamicBFSServer(graph(seed=14), serving())
+            try:
+                return run(server)
+            finally:
+                server.close()
+
+        churned, records = drive(
+            lambda server: run_churn_loop(server, workload, churn)
+        )
+        static = drive(lambda server: run_closed_loop(server, workload))
+
+        def responses(result):
+            return [
+                (r.request_id, r.status, r.value, r.completion_time, r.cached)
+                for r in result.responses
+            ]
+
+        def figures(result):
+            return (result.completed, result.shed, result.errored,
+                    result.elapsed, result.throughput)
+
+        assert records == []
+        assert responses(churned) == responses(static)
+        assert figures(churned) == figures(static)
+        assert churned.metrics == static.metrics
+
+
+class TestRandomDeleteBatch:
+    @staticmethod
+    def repeat_sources(graph, picks):
+        """The per-edge source array, built in full."""
+        src_all = np.repeat(
+            np.arange(graph.num_vertices, dtype=VERTEX_DTYPE),
+            graph.out_degrees(),
+        )
+        return src_all[picks]
+
+    @pytest.mark.parametrize("make", [
+        # Rows 0, 2, 3 and 6 are empty, including the first and last.
+        lambda: CSRGraph(
+            np.asarray([0, 0, 2, 2, 2, 5, 6, 6], dtype=VERTEX_DTYPE),
+            np.asarray([1, 4, 0, 1, 5, 2], dtype=VERTEX_DTYPE),
+        ),
+        lambda: kronecker(scale=10, edge_factor=8, seed=7),
+    ], ids=["hand-built", "kronecker"])
+    def test_samples_existing_edges(self, make):
+        g = make()
+        assert np.count_nonzero(g.out_degrees() == 0) > 0
+        count = min(64, g.num_edges)
+        src, dst = random_delete_batch(g, count, np.random.default_rng(9))
+        assert src.dtype == VERTEX_DTYPE and src.size == count
+        edges = set(g.edges())
+        assert all((int(s), int(d)) in edges for s, d in zip(src, dst))
+        picks = np.random.default_rng(9).choice(
+            g.num_edges, size=count, replace=False
+        )
+        expected = self.repeat_sources(g, picks)
+        assert np.array_equal(src, expected)
+        assert np.array_equal(dst, g.col_indices[picks])
